@@ -1,7 +1,11 @@
 """Bounded-variable revised primal simplex on sparse matrices.
 
-Two-phase method: phase 1 starts from an all-artificial basis and
+Two-phase method: phase 1 starts from a slack crash basis and
 minimizes the total infeasibility, phase 2 optimizes the true costs.
+A row whose slack can absorb the residual at the starting nonbasic
+point gets its slack as the basic variable, and that row's artificial
+is locked at 0; artificials are basic only for the remaining rows, so
+a start that is already feasible skips phase 1 altogether.
 The system is equilibrated first (iterative geometric row/column
 scaling), which the big-M rows of this package's models make
 essential: raw coefficients span eight orders of magnitude.
@@ -182,28 +186,29 @@ class BoundedSimplex:
         lo = np.concatenate([lb_s, self.slack_lb])
         hi = np.concatenate([ub_s, self.slack_ub])
 
-        x = np.zeros(n + m)
-        status = np.full(n + m, AT_LB, dtype=np.int8)
-        for j in range(n + m):
-            if np.isfinite(lo[j]):
-                x[j], status[j] = lo[j], AT_LB
-            elif np.isfinite(hi[j]):
-                x[j], status[j] = hi[j], AT_UB
-            else:
-                x[j], status[j] = 0.0, NB_FREE
+        lo_fin = np.isfinite(lo)
+        hi_fin = np.isfinite(hi)
+        x = np.where(lo_fin, lo, np.where(hi_fin, hi, 0.0))
+        status = np.where(lo_fin, AT_LB, np.where(hi_fin, AT_UB, NB_FREE)).astype(np.int8)
 
-        A_slack = sp.identity(m, format="csc")
-        resid = self.b_scaled - self.A_scaled @ x[:n] - A_slack @ x[n:]
+        # every slack sits at 0 here, so a row's slack can take the whole
+        # residual as its basic value exactly when that stays in its bounds
+        resid = self.b_scaled - self.A_scaled @ x[:n]
+        slack_basic = (self.slack_lb <= resid) & (resid <= self.slack_ub)
         art_sign = np.where(resid >= 0.0, 1.0, -1.0)
-        A_art = sp.diags(art_sign, format="csc")
-        A_all = sp.hstack([self.A_scaled, A_slack, A_art], format="csc")
+        A_all = sp.hstack([self.A_scaled, sp.identity(m, format="csc"),
+                           sp.diags(art_sign, format="csc")], format="csc")
         lo = np.concatenate([lo, np.zeros(m)])
-        hi = np.concatenate([hi, np.full(m, INF)])
-        status = np.concatenate([status, np.full(m, BASIC, dtype=np.int8)])
-        basis = np.arange(n + m, n + m + m)
-        x = np.concatenate([x, np.abs(resid)])
+        hi = np.concatenate([hi, np.where(slack_basic, 0.0, INF)])
+        x = np.concatenate([x[:n], np.where(slack_basic, resid, 0.0),
+                            np.where(slack_basic, 0.0, np.abs(resid))])
+        rows = np.arange(m)
+        basis = np.where(slack_basic, n + rows, n + m + rows)
+        status = np.concatenate([status, np.full(m, AT_LB, dtype=np.int8)])
+        status[basis] = BASIC
 
         self._A = A_all
+        self._AT = A_all.T.tocsr()
         self._lo, self._hi = lo, hi
         self._x, self._status, self._basis = x, status, basis
         self._fact = _Basis(A_all, basis)
@@ -250,7 +255,7 @@ class BoundedSimplex:
         obj = float(c @ xs)
         cB = c2[self._basis]
         y_scaled = self._fact.btran(cB)
-        rc_scaled = c2 - (self._A.T @ y_scaled)
+        rc_scaled = c2 - (self._AT @ y_scaled)
         duals = (y_scaled[:m].copy() * self.row_scale) if m else np.zeros(0)
         rc = rc_scaled[:n] / cs
         return LpSolution(OPTIMAL, x=xs, obj=obj, duals=duals,
@@ -271,7 +276,7 @@ class BoundedSimplex:
     # -- core loop -----------------------------------------------------
 
     def _optimize(self, c, phase):
-        A = self._A
+        AT = self._AT
         lo, hi = self._lo, self._hi
         x, status, basis = self._x, self._status, self._basis
         fact = self._fact
@@ -281,6 +286,7 @@ class BoundedSimplex:
         damage_budget = 1e-9
         bland = False
         degen_run = 0
+        movable = lo < hi
         pivots_since_refactor = 0
 
         while True:
@@ -290,17 +296,9 @@ class BoundedSimplex:
 
             cB = c[basis]
             y = fact.btran(cB)
-            d = c - (A.T @ y)
+            d = c - (AT @ y)
 
-            at_lb = status == AT_LB
-            at_ub = status == AT_UB
-            free = status == NB_FREE
-            viol = np.zeros(self._total)
-            viol[at_lb] = np.minimum(d[at_lb], 0.0)
-            viol[at_ub] = -np.maximum(d[at_ub], 0.0)
-            viol[free] = -np.abs(d[free])
-            if phase == 2:
-                viol[self.n + m:] = 0.0  # locked artificials stay out
+            viol = self._pricing(d, movable)
             candidates = np.nonzero(viol < -dual_tol)[0]
             if candidates.size == 0:
                 return OPTIMAL
@@ -311,10 +309,7 @@ class BoundedSimplex:
                 q = int(candidates[np.argmin(viol[candidates])])
 
             direction = 1.0 if (d[q] < 0) else -1.0
-            a_q = np.zeros(m)
-            col = A[:, q]
-            a_q[col.indices] = col.data
-            w = fact.ftran(a_q)
+            w = fact.ftran(self._column(q))
 
             # two-pass (Harris-style) ratio test: pass 1 caps the step so no
             # basic variable overshoots its bound by more than the budget,
@@ -400,13 +395,14 @@ class BoundedSimplex:
         they violate (arriving there makes them feasible), in-bounds
         variables block as usual.
         """
-        A = self._A
+        AT = self._AT
         lo, hi = self._lo, self._hi
         x, status, basis = self._x, self._status, self._basis
         fact = self._fact
         m = self.m
         tol_r = 1e-9
         piv_tol = 1e-11
+        movable = lo < hi
 
         for _ in range(max_pivots):
             self._iters += 1
@@ -419,24 +415,14 @@ class BoundedSimplex:
                 return True
             cB = np.where(below, -1.0, np.where(above, 1.0, 0.0))
             y = fact.btran(cB)
-            d = -(A.T @ y)
-            at_lb = status == AT_LB
-            at_ub = status == AT_UB
-            free = status == NB_FREE
-            viol = np.zeros(self._total)
-            viol[at_lb] = np.minimum(d[at_lb], 0.0)
-            viol[at_ub] = -np.maximum(d[at_ub], 0.0)
-            viol[free] = -np.abs(d[free])
-            viol[self.n + self.m:] = 0.0  # locked artificials stay out
+            d = -(AT @ y)
+            viol = self._pricing(d, movable)
             candidates = np.nonzero(viol < -1e-10)[0]
             if candidates.size == 0:
                 return False  # no entering column can reduce the violation
             q = int(candidates[np.argmin(viol[candidates])])
             direction = 1.0 if d[q] < 0 else -1.0
-            a_q = np.zeros(m)
-            col = A[:, q]
-            a_q[col.indices] = col.data
-            w = fact.ftran(a_q)
+            w = fact.ftran(self._column(q))
             delta = -direction * w
 
             best_t, best_pos, best_to_ub, best_mag = INF, -1, False, 0.0
@@ -491,6 +477,31 @@ class BoundedSimplex:
                 fact.refactor(basis)
                 self._recompute_basics()
         return False
+
+    def _pricing(self, d, movable):
+        """Per-variable pricing violation of reduced costs d (<= 0).
+
+        Basic and fixed variables (a locked artificial is fixed at 0)
+        get 0: moving a fixed variable is a bound flip of length zero.
+        """
+        status = self._status
+        viol = np.zeros(self._total)
+        at_lb = status == AT_LB
+        at_ub = status == AT_UB
+        free = status == NB_FREE
+        viol[at_lb] = np.minimum(d[at_lb], 0.0)
+        viol[at_ub] = -np.maximum(d[at_ub], 0.0)
+        viol[free] = -np.abs(d[free])
+        viol[~movable] = 0.0
+        return viol
+
+    def _column(self, q):
+        """Dense copy of column q of the working matrix."""
+        A = self._A
+        start, stop = A.indptr[q], A.indptr[q + 1]
+        a_q = np.zeros(self.m)
+        a_q[A.indices[start:stop]] = A.data[start:stop]
+        return a_q
 
     def _recompute_basics(self):
         nb_mask = self._status != BASIC

@@ -71,13 +71,6 @@ class SolveResult:
     duals: np.ndarray | None = None
     stats: dict = field(default_factory=dict)
 
-    @property
-    def ok(self):
-        return self.status == STATUS_OPTIMAL
-
-    def value_of(self, idx):
-        return float(self.values[idx])
-
     def to_json_dict(self):
         """Wire format of the adapter contract (status/objective/values)."""
         return {
@@ -261,9 +254,6 @@ def solve_milp(model: MilpModel, config: SolverConfig | None = None) -> SolveRes
             return SolveResult(STATUS_INFEASIBLE, stats=stats)
         return SolveResult(status, stats=stats)
     obj = mult * incumbent_internal + core.offset
-    if heap and status == STATUS_OPTIMAL:
-        # popped-out early via the best-first cut; remaining nodes are worse
-        pass
     if status != STATUS_OPTIMAL and heap:
         lo = min(best_open_bound, min(h[0] for h in heap))
         stats["gap"] = (incumbent_internal - lo) / max(1.0, abs(incumbent_internal))
@@ -407,34 +397,28 @@ class ScipyHighsBackend:
 
     name = "highs"
 
-    def _arrays(self, model):
-        core = _ModelCore(model)
-        return core
-
     def solve_lp(self, model, config=None):
         from scipy.optimize import linprog
 
         config = (config or SolverConfig()).validate()
-        core = self._arrays(model)
+        core = _ModelCore(model)
         A = core.A.tocsr()
-        ub_rows, ub_rhs, ub_map = [], [], []
-        eq_rows, eq_rhs, eq_map = [], [], []
-        for r, sense in enumerate(core.senses):
-            if sense == "<=":
-                ub_rows.append(A[r]); ub_rhs.append(core.b[r]); ub_map.append((r, 1.0))
-            elif sense == ">=":
-                ub_rows.append(-A[r]); ub_rhs.append(-core.b[r]); ub_map.append((r, -1.0))
-            else:
-                eq_rows.append(A[r]); eq_rhs.append(core.b[r]); eq_map.append(r)
+        senses = np.array(core.senses)
+        ub = np.flatnonzero(senses != "==")
+        eq = np.flatnonzero(senses == "==")
+        sign = np.where(senses[ub] == ">=", -1.0, 1.0)  # ">=" rows enter negated
         kwargs = {}
-        if ub_rows:
-            kwargs["A_ub"] = sp.vstack(ub_rows); kwargs["b_ub"] = np.array(ub_rhs)
-        if eq_rows:
-            kwargs["A_eq"] = sp.vstack(eq_rows); kwargs["b_eq"] = np.array(eq_rhs)
-        bounds = [(lo if np.isfinite(lo) else None, hi if np.isfinite(hi) else None)
-                  for lo, hi in zip(core.lb, core.ub)]
+        if ub.size:
+            # diag(sign) @ A[ub], applied to the row data so that explicit
+            # zeros survive and HiGHS sees the matrix entry for entry
+            A_ub = A[ub]
+            A_ub.data *= np.repeat(sign, np.diff(A_ub.indptr))
+            kwargs["A_ub"] = A_ub; kwargs["b_ub"] = sign * core.b[ub]
+        if eq.size:
+            kwargs["A_eq"] = A[eq]; kwargs["b_eq"] = core.b[eq]
         t0 = time.perf_counter()
-        res = linprog(core.sense_mult * core.c, bounds=bounds, method="highs", **kwargs)
+        res = linprog(core.sense_mult * core.c, bounds=np.column_stack((core.lb, core.ub)),
+                      method="highs", **kwargs)
         wall = time.perf_counter() - t0
         stats = {"iterations": int(getattr(res, "nit", 0) or 0), "wall_time": wall, "nodes": 0}
         if res.status == 2:
@@ -444,12 +428,10 @@ class ScipyHighsBackend:
         if res.status != 0:
             raise SolveError(f"highs linprog failed: {res.message}")
         duals = np.zeros(len(core.senses))
-        if ub_rows:
-            for (r, flip), marg in zip(ub_map, res.ineqlin.marginals):
-                duals[r] = flip * marg
-        if eq_rows:
-            for r, marg in zip(eq_map, res.eqlin.marginals):
-                duals[r] = marg
+        if ub.size:
+            duals[ub] = sign * res.ineqlin.marginals
+        if eq.size:
+            duals[eq] = res.eqlin.marginals
         duals *= core.sense_mult
         obj = core.sense_mult * res.fun + core.offset
         return SolveResult(STATUS_OPTIMAL, objective=obj, values=res.x, duals=duals, stats=stats)
@@ -458,7 +440,7 @@ class ScipyHighsBackend:
         from scipy.optimize import Bounds, LinearConstraint, milp
 
         config = (config or SolverConfig()).validate()
-        core = self._arrays(model)
+        core = _ModelCore(model)
         if not core.binaries:
             return self.solve_lp(model, config)
         lo = np.full(len(core.b), -np.inf)

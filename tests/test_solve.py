@@ -56,6 +56,18 @@ class TestSolveLp:
         assert res.objective == pytest.approx(3.0, abs=1e-9)
         assert res.duals[0] == pytest.approx(1.0, abs=1e-9)
 
+    def test_feasible_start_skips_phase_one(self):
+        m = MilpModel("t", "min")
+        x = m.add_var("x")
+        m.add_constraint({x: 1.0}, "<=", 5.0)
+        m.set_objective({x: 1.0})
+        res = solve_lp(m.finalize())
+        assert res.status == STATUS_OPTIMAL
+        assert res.objective == 0.0
+        # x = 0 satisfies the row, so its slack starts basic and no
+        # artificial does: one pricing pass per phase
+        assert res.stats["iterations"] == 2
+
     def test_infeasible_pair(self):
         m = MilpModel("t", "max")
         x = m.add_var("x")
