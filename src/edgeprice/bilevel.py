@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from .follower import (DEFAULT_VARIANT, LeaderDecision, ModelVariant,
                        assemble_solution, derived_dual_bound, follower_cost,
                        solve_sp1)
-from .model import BINARY, BigMRegistry, Expr, MilpModel, ModelStats, default_dual_bound
+from .model import BINARY, BigMRegistry, Expr, MilpModel, ModelStats
 from .solve import STATUS_OPTIMAL, SolverConfig, backend_solve_polished
 
 INF = math.inf

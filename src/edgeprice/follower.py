@@ -27,10 +27,11 @@ import itertools
 import math
 from dataclasses import dataclass, asdict
 
-from .model import BINARY, BigMRegistry, Expr, MilpModel, default_dual_bound
+from .model import BINARY, BigMRegistry, Expr, MilpModel
 from .solve import (STATUS_INFEASIBLE, STATUS_OPTIMAL, SolveError, SolveResult,
                     SolverConfig, backend_solve, backend_solve_polished,
-                    get_backend, polish_binaries, solve_lp)
+                    get_backend, polish_binaries)
+from .solve import solve_lp  # noqa: F401  -- looked up here by bench/tracing.py
 
 INF = math.inf
 
@@ -410,10 +411,7 @@ def solve_fixed_t_lp(instance, k, leader, t, variant=DEFAULT_VARIANT,
                     for j in range(J)] for i in range(I)]
     m.finalize()
 
-    if backend == "reference":
-        res = solve_lp(m, config)
-    else:
-        res = backend_solve(backend, m, config)
+    res = backend_solve(backend, m, config)
     if res.status == STATUS_INFEASIBLE:
         return FixedPlacementResult(STATUS_INFEASIBLE, dual_ray=True, reason="LP infeasible")
     if res.status != STATUS_OPTIMAL:

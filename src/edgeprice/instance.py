@@ -96,12 +96,6 @@ class Instance:
     def all_drop_cost(self, k):
         return sum(self.psi[i][k] * self.R[i][k] for i in range(self.I))
 
-    def max_price(self):
-        tops = [self.p0]
-        tops += [row[-1] for row in self.p_grid]
-        tops += [row[-1] for row in self.ps_grid]
-        return max(tops)
-
     def max_demand(self):
         return max((self.R[i][k] for i in range(self.I) for k in range(self.K)), default=0.0)
 

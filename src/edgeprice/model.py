@@ -171,9 +171,6 @@ class MilpModel:
     def n_constraints(self):
         return len(self.constraints)
 
-    def index_of(self, name):
-        return self._by_name[name]
-
     def index_of_tag(self, tag):
         return self._by_tag[tag]
 
@@ -191,12 +188,6 @@ class MilpModel:
         for con in self.constraints:
             counts[con.family] = counts.get(con.family, 0) + 1
         return counts
-
-    def objective_value(self, x):
-        val = self.objective_offset
-        for idx, coef in self.objective.items():
-            val += coef * x[idx]
-        return val
 
     def constraint_activity(self, con, x):
         return sum(coef * x[idx] for idx, coef in con.coeffs.items())
@@ -279,9 +270,8 @@ class BigMRegistry:
 
     FLAG_RATIO = 0.99
 
-    def __init__(self, default_policy=None):
+    def __init__(self):
         self.entries = {}           # family -> (M, [watched var indices])
-        self.default_policy = default_policy or default_dual_bound
         self.flags = {}             # family -> dict with max value / ratio after validate()
 
     def register(self, family, M, watch=()):
@@ -300,10 +290,6 @@ class BigMRegistry:
         if family not in self.entries:
             raise ModelError(f"big-M registry has no entry for family {family!r}")
         return self.entries[family][0]
-
-    def derive(self, family, *args, watch=(), **kwargs):
-        """Register a family using the default heuristic bound policy."""
-        return self.register(family, self.default_policy(*args, **kwargs), watch=watch)
 
     def validate(self, values):
         """Record, per family, how close watched variables came to M."""

@@ -1,11 +1,15 @@
 """Bounded-variable revised primal simplex on sparse matrices.
 
-Two-phase method: phase 1 starts from a slack crash basis and
-minimizes the total infeasibility, phase 2 optimizes the true costs.
-A row whose slack can absorb the residual at the starting nonbasic
-point gets its slack as the basic variable, and that row's artificial
-is locked at 0; artificials are basic only for the remaining rows, so
-a start that is already feasible skips phase 1 altogether.
+Two-phase method: phase 1 starts from a crash basis and minimizes the
+total infeasibility, phase 2 optimizes the true costs.  The crash
+covers each row with one basic variable that absorbs the row's residual
+at the starting nonbasic point: its slack when the residual lies inside
+the slack's bounds, otherwise a column singleton (one nonzero, in that
+row) moved up from its finite lower bound when the move stays inside
+its bounds (Bixby 1992).  A covered row's artificial is locked at 0;
+artificials are basic only for the remaining rows, so a start that the
+crash makes feasible skips phase 1 altogether.  The crash basis is a
+permuted diagonal, so its factor is trivially nonsingular.
 The system is equilibrated first (iterative geometric row/column
 scaling), which the big-M rows of this package's models make
 essential: raw coefficients span eight orders of magnitude.
@@ -143,6 +147,17 @@ class BoundedSimplex:
             sp.diags(self.row_scale) @ A @ sp.diags(self.col_scale))
         self.b_scaled = self.row_scale * self.b_orig
 
+        # column singletons of the scaled matrix, by ascending column:
+        # the crash basis may use them to cover their row
+        A_s = self.A_scaled
+        nonzero = A_s.data != 0.0
+        entry_col = np.repeat(np.arange(self.n), np.diff(A_s.indptr))
+        count = np.bincount(entry_col[nonzero], minlength=self.n)
+        single = nonzero & (count[entry_col] == 1)
+        self._single_col = entry_col[single]
+        self._single_row = A_s.indices[single]
+        self._single_coef = A_s.data[single]
+
         self.slack_lb = np.zeros(self.m)
         self.slack_ub = np.zeros(self.m)
         for i, sense in enumerate(self.senses):
@@ -195,15 +210,30 @@ class BoundedSimplex:
         # residual as its basic value exactly when that stays in its bounds
         resid = self.b_scaled - self.A_scaled @ x[:n]
         slack_basic = (self.slack_lb <= resid) & (resid <= self.slack_ub)
+        # a row its slack cannot cover takes the first column singleton
+        # that absorbs the residual by moving up from its finite lower
+        # bound without passing its upper bound
+        cols, rows_s = self._single_col, self._single_row
+        move = resid[rows_s] / self._single_coef
+        fits = (~slack_basic[rows_s] & lo_fin[cols] & (move > 0.0)
+                & (lo[cols] + move <= hi[cols]))
+        single_rows, first = np.unique(rows_s[fits], return_index=True)
+        single_cols = cols[fits][first]
+        x[single_cols] += move[fits][first]
+        resid[single_rows] = 0.0
+        covered = slack_basic.copy()
+        covered[single_rows] = True
+
         art_sign = np.where(resid >= 0.0, 1.0, -1.0)
         A_all = sp.hstack([self.A_scaled, sp.identity(m, format="csc"),
                            sp.diags(art_sign, format="csc")], format="csc")
         lo = np.concatenate([lo, np.zeros(m)])
-        hi = np.concatenate([hi, np.where(slack_basic, 0.0, INF)])
+        hi = np.concatenate([hi, np.where(covered, 0.0, INF)])
         x = np.concatenate([x[:n], np.where(slack_basic, resid, 0.0),
-                            np.where(slack_basic, 0.0, np.abs(resid))])
+                            np.where(covered, 0.0, np.abs(resid))])
         rows = np.arange(m)
         basis = np.where(slack_basic, n + rows, n + m + rows)
+        basis[single_rows] = single_cols
         status = np.concatenate([status, np.full(m, AT_LB, dtype=np.int8)])
         status[basis] = BASIC
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .model import MilpModel, ModelError
+from .model import MilpModel, ModelError, VarDef
 from .simplex import (BoundedSimplex, INFEASIBLE, ITER_LIMIT, OPTIMAL,
                       SimplexFailure, UNBOUNDED)
 
@@ -273,7 +273,9 @@ def polish_binaries(model, result, config=None, lp_solver=None):
     tolerance, which leaks through big-M constraints (slack <= u*M with
     u = 1-1e-6 is almost free).  Fixing the binaries and re-solving the
     continuous part yields exact linearization identities and a
-    certified objective for the chosen pattern.
+    certified objective for the chosen pattern.  The caller's model is
+    not modified: the LP gets its own variable list and shares only the
+    constraints and the objective.
     """
     config = (config or SolverConfig()).validate()
     if result.values is None:
@@ -281,21 +283,19 @@ def polish_binaries(model, result, config=None, lp_solver=None):
     bins = model.binary_indices()
     if not bins:
         return result
-    saved = [(i, model.variables[i].lb, model.variables[i].ub) for i in bins]
-    try:
-        for i in bins:
-            v = round(float(result.values[i]))
-            model.variables[i].lb = model.variables[i].ub = float(v)
-        lp = (lp_solver or solve_lp)(model, config)
-    finally:
-        for i, lo, hi in saved:
-            model.variables[i].lb = lo
-            model.variables[i].ub = hi
+    pattern = {i: float(round(float(result.values[i]))) for i in bins}
+    fixed = MilpModel(model.name, model.sense)
+    fixed.variables = [VarDef(v.name, v.kind, pattern.get(i, v.lb), pattern.get(i, v.ub), v.tag)
+                       for i, v in enumerate(model.variables)]
+    fixed.constraints = model.constraints
+    fixed.objective = model.objective
+    fixed.objective_offset = model.objective_offset
+    lp = (lp_solver or solve_lp)(fixed.finalize(), config)
     if lp.status != STATUS_OPTIMAL:
         raise PolishInfeasible(f"polish LP ended {lp.status}")
     values = lp.values.copy()
     for i in bins:
-        values[i] = round(float(result.values[i]))
+        values[i] = pattern[i]
     drift = abs(lp.objective - result.objective) / max(1.0, abs(lp.objective))
     stats = dict(result.stats)
     stats["polish_drift"] = drift
@@ -356,11 +356,9 @@ def solve_milp_certified(adapter, model, config=None, max_exclusions=64):
             return cert  # claim certified: nothing can beat it
         if best is not None and sense_mult * (best.objective - claimed) <= tol:
             return best  # claimed bound of the reduced model meets the incumbent
-        if work is model:
-            work = model.clone()
-        work._finalized = False
+        work = work.clone()
         _exclude_pattern(work, {i: int(round(res.values[i])) for i in bins})
-        work._finalized = True
+        work.finalize()
     if best is None:
         return SolveResult(STATUS_INFEASIBLE, stats={"exclusions": max_exclusions})
     return best

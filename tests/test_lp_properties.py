@@ -6,11 +6,15 @@ starting residual exact and the three kinds of start are what they
 claim to be: every row satisfied at the lower bounds (the slack crash
 basis covers all rows and phase 1 has nothing to do), a feasible LP
 built around a point inside the box (its start usually violates some
-rows), and an arbitrary right-hand side that may be infeasible.  Integer data are often degenerate, where optimal duals
-are not unique; every reference dual vector is therefore checked as a
-certificate (sign conditions and zero duality gap), and compared with
-HiGHS's entry by entry when the reference optimum is nondegenerate and
-the dual is unique.
+rows), and an arbitrary right-hand side that may be infeasible.  Up to
+two column singletons (one nonzero, some without an upper bound) are
+appended, so the crash basis often covers a violated row with a
+singleton, and sometimes finds one whose upper bound stops it.
+Integer data are often degenerate, where optimal duals are not unique;
+every reference dual vector is therefore checked as a certificate
+(sign conditions and zero duality gap), and compared with HiGHS's
+entry by entry when the reference optimum is nondegenerate and the
+dual is unique.
 """
 
 import numpy as np
@@ -33,6 +37,15 @@ def bounded_lps(draw):
                                min_size=m, max_size=m)), dtype=float)
     lb = np.array(draw(st.lists(st.integers(-3, 1), min_size=n, max_size=n)), dtype=float)
     ub = lb + np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    # column singletons: one nonzero in one row, some without an upper bound
+    for _ in range(draw(st.integers(0, 2))):
+        col = np.zeros((m, 1))
+        col[draw(st.integers(0, m - 1)), 0] = draw(st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]))
+        A = np.hstack([A, col])
+        low = float(draw(st.integers(-3, 1)))
+        lb = np.append(lb, low)
+        ub = np.append(ub, low + draw(st.one_of(st.just(np.inf), st.integers(0, 4))))
+        n += 1
     senses = draw(st.lists(st.sampled_from(["<=", ">=", "=="]), min_size=m, max_size=m))
     start = draw(st.sampled_from(["slack-feasible", "feasible", "arbitrary"]))
     if start == "arbitrary":
@@ -66,7 +79,9 @@ def assert_dual_certificate(res, A, b, senses, c, lb, ub, mult):
         elif sense == ">=":
             assert y[r] >= -TOL
     red = mult * c - A.T @ y
-    dual_obj = b @ y + np.where(red > 0, red * lb, red * ub).sum()
+    bounded = np.isfinite(ub)
+    assert np.all(red[~bounded] >= -TOL)  # no upper bound to price a negative cost
+    dual_obj = b @ y + np.where(red > 0, red * lb, red * np.where(bounded, ub, 0.0)).sum()
     assert abs(dual_obj - mult * res.objective) <= 1e-6 * (1 + abs(res.objective))
 
 

@@ -5,10 +5,10 @@ import pytest
 
 from edgeprice.model import MilpModel, ModelError
 from edgeprice.solve import (STATUS_GAP_LIMIT, STATUS_INFEASIBLE, STATUS_OPTIMAL,
-                             STATUS_TIME_LIMIT, STATUS_UNBOUNDED, SolverConfig,
-                             backend_names, backend_register, backend_solve,
-                             backend_solve_polished, get_backend, solve_lp,
-                             solve_milp)
+                             STATUS_TIME_LIMIT, STATUS_UNBOUNDED, SolveResult,
+                             SolverConfig, backend_names, backend_register,
+                             backend_solve, backend_solve_polished, get_backend,
+                             polish_binaries, solve_lp, solve_milp)
 
 
 def random_lp(rng, n=None, m=None):
@@ -67,6 +67,28 @@ class TestSolveLp:
         # x = 0 satisfies the row, so its slack starts basic and no
         # artificial does: one pricing pass per phase
         assert res.stats["iterations"] == 2
+
+    @pytest.mark.parametrize("q_sign, q_ub, iterations, objective", [
+        (1.0, np.inf, 3, 5.0),   # x + q == 3: q = 3 covers the row
+        (-1.0, np.inf, 2, 6.0),  # x - q == -3: q = 3 covers it, already optimal
+        (1.0, 2.0, 5, 5.0),      # q <= 2 cannot hold 3: the artificial stays
+    ])
+    def test_singleton_crash_skips_phase_one(self, q_sign, q_ub, iterations, objective):
+        m = MilpModel("t", "min")
+        x = m.add_var("x")
+        q = m.add_var("q", ub=q_ub)
+        m.add_constraint({x: 1.0, q: q_sign}, "==", 3.0 * q_sign)
+        m.add_constraint({x: 1.0}, "<=", 1.0)
+        m.set_objective({x: 1.0, q: 2.0})
+        m.finalize()
+        res = solve_lp(m)
+        assert res.status == STATUS_OPTIMAL
+        assert res.objective == pytest.approx(objective, abs=1e-9)
+        assert np.allclose(res.duals, get_backend("highs").solve_lp(m).duals, atol=1e-9)
+        # q has its only nonzero in row 0, the row its slack (fixed at 0)
+        # cannot cover; when q can absorb the residual it starts basic,
+        # row 0 needs no artificial and phase 1 is a single pricing pass
+        assert res.stats["iterations"] == iterations
 
     def test_infeasible_pair(self):
         m = MilpModel("t", "max")
@@ -256,6 +278,32 @@ class TestBackends:
             for b in bs:
                 assert float(res.values[b]) in (0.0, 1.0)
             assert res.objective == pytest.approx(100.5)
+
+
+class TestPolish:
+    def test_caller_model_is_not_modified(self):
+        m = MilpModel("p", "max")
+        bs = [m.add_var(f"b{i}", "binary") for i in range(3)]
+        u = m.add_var("u", ub=20.0)
+        m.add_constraint({u: 1.0, bs[0]: -10.0, bs[2]: -5.0}, "<=", 0.0)
+        m.add_constraint({b: 1.0 for b in bs}, "<=", 2.0)
+        m.set_objective({u: 1.0, bs[1]: 0.5})
+        m.finalize()
+        before = m.dump_lp()
+
+        def lp_solver(model, config):
+            # the LP sees the binaries fixed, the caller's model never does
+            assert [(m.variables[b].lb, m.variables[b].ub) for b in bs] == [(0.0, 1.0)] * 3
+            assert [(model.variables[b].lb, model.variables[b].ub) for b in bs] == \
+                [(1.0, 1.0), (0.0, 0.0), (1.0, 1.0)]
+            return solve_lp(model, config)
+
+        claim = SolveResult(STATUS_OPTIMAL, objective=15.0,
+                            values=np.array([1.0 - 1e-7, 1e-7, 1.0, 15.0]))
+        res = polish_binaries(m, claim, lp_solver=lp_solver)
+        assert res.objective == pytest.approx(15.0)
+        assert list(res.values[:3]) == [1.0, 0.0, 1.0]
+        assert m.dump_lp() == before
 
 
 class TestTimeLimit:
