@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from .follower import (DEFAULT_VARIANT, LeaderDecision, ModelVariant,
                        assemble_solution, derived_dual_bound, follower_cost,
                        solve_sp1)
-from .model import BINARY, BigMRegistry, Expr, MilpModel, ModelStats
+from .model import (BINARY, BigMRegistry, Expr, MilpModel, ModelStats, link_bin_bin,
+                    link_bin_cont)
 from .solve import STATUS_OPTIMAL, SolverConfig, backend_solve_polished
 
 INF = math.inf
@@ -139,21 +140,21 @@ def relative_gap(ub, lb):
 
 
 def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
-                 flat_storage=True, fixed_price=None, fixed_sprice=None,
-                 registry=None, dual_bound=None, name="master"):
+                 flat_storage=True, fixed_price=None, fixed_sprice=None, name="master"):
     """Master MILP at the current cut pool (no cuts = the feasibility relaxation).
 
     The unmet-demand and cloud-procurement quantities are substituted
     out (q' = R - served, y0' = cloud workload + surplus), which keeps
     the model equivalent while matching the closed-form size formulas
-    exactly.
+    exactly.  Every bilinear product goes through the linearization
+    toolkit, so the bundle's registry lists each one as a link; each
+    duality block keeps its own links under "links".
     """
     inst = instance
     I, J, K, V, H = inst.I, inst.J, inst.K, inst.V, inst.H
     L = len(cuts)
-    registry = registry if registry is not None else BigMRegistry()
-    if dual_bound is None:
-        dual_bound = derived_dual_bound(inst)
+    registry = BigMRegistry()
+    dual_bound = derived_dual_bound(inst)
 
     m = MilpModel(name, "max")
     z = [m.add_var(f"z[{j}]", BINARY) for j in range(J)]
@@ -195,12 +196,9 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
             per_cut.append(blk)
         duals.append(per_cut)
 
-    registry.register("mp_rho", max(inst.C))
-    registry.register("mp_zeta", 1.0)
     if cuts:
         registry.register("mp_kappa", dual_bound,
                           watch=[duals[li][k]["mu1"] for li in range(L) for k in range(K)])
-        registry.register("mp_pi", dual_bound)
         registry.register("mp_varrho", dual_bound,
                           watch=[duals[li][k]["nu"][j] for li in range(L)
                                  for k in range(K) for j in range(J)])
@@ -290,23 +288,12 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
             m.add_constraint(delay, "<=", inst.Dmax[k] * inst.R[i][k],
                              name=f"delay[{i},{k}]", family="mp_delay")
 
-        # rho = r * y' and zeta = rs * t' linearizations
+        # rho = y' * r and zeta = rs * t'
         for j in range(J):
-            M = inst.C[j]
             for v in range(V):
-                m.add_constraint({rho[k][j][v]: 1.0, r[j][v]: -M}, "<=", 0.0,
-                                 name=f"rho_a[{j},{v},{k}]", family="mp_rho")
-                m.add_constraint({rho[k][j][v]: 1.0, yp[k][j]: -1.0}, "<=", 0.0,
-                                 name=f"rho_b[{j},{v},{k}]", family="mp_rho")
-                m.add_constraint({rho[k][j][v]: 1.0, yp[k][j]: -1.0, r[j][v]: -M}, ">=", -M,
-                                 name=f"rho_c[{j},{v},{k}]", family="mp_rho")
+                link_bin_cont(m, rho[k][j][v], yp[k][j], r[j][v], "mp_rho", registry)
             for h in range(H):
-                m.add_constraint({zeta[k][j][h]: 1.0, rs[j][h]: -1.0}, "<=", 0.0,
-                                 name=f"zeta_a[{j},{h},{k}]", family="mp_zeta")
-                m.add_constraint({zeta[k][j][h]: 1.0, tp[k][j]: -1.0}, "<=", 0.0,
-                                 name=f"zeta_b[{j},{h},{k}]", family="mp_zeta")
-                m.add_constraint({zeta[k][j][h]: 1.0, rs[j][h]: -1.0, tp[k][j]: -1.0},
-                                 ">=", -1.0, name=f"zeta_c[{j},{h},{k}]", family="mp_zeta")
+                link_bin_bin(m, zeta[k][j][h], rs[j][h], tp[k][j], "mp_zeta", registry)
 
     # one duality block per (service, cut)
     cut_rows = {}
@@ -380,31 +367,16 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
                                      ">=", -w * inst.d[i][j],
                                      name=f"d_ed[{i},{j},{k},{cut.l}]", family="mp_dual_edge")
 
-            # kappa = rs * mu1, pi = r * mu1, varrho = nu * z
-            M = dual_bound
+            # kappa = mu1 * rs, pi = mu1 * r, varrho = nu * z
+            first = len(registry.links)
             for j in range(J):
                 for h in range(H):
-                    m.add_constraint({blk["kappa"][j][h]: 1.0, rs[j][h]: -M}, "<=", 0.0,
-                                     name=f"ka_a[{j},{h},{k},{cut.l}]", family="mp_kappa")
-                    m.add_constraint({blk["kappa"][j][h]: 1.0, blk["mu1"]: -1.0}, "<=", 0.0,
-                                     name=f"ka_b[{j},{h},{k},{cut.l}]", family="mp_kappa")
-                    m.add_constraint({blk["kappa"][j][h]: 1.0, blk["mu1"]: -1.0, rs[j][h]: -M},
-                                     ">=", -M, name=f"ka_c[{j},{h},{k},{cut.l}]",
-                                     family="mp_kappa")
+                    link_bin_cont(m, blk["kappa"][j][h], blk["mu1"], rs[j][h], "mp_kappa",
+                                  registry)
                 for v in range(V):
-                    m.add_constraint({blk["pi"][j][v]: 1.0, r[j][v]: -M}, "<=", 0.0,
-                                     name=f"pi_a[{j},{v},{k},{cut.l}]", family="mp_pi")
-                    m.add_constraint({blk["pi"][j][v]: 1.0, blk["mu1"]: -1.0}, "<=", 0.0,
-                                     name=f"pi_b[{j},{v},{k},{cut.l}]", family="mp_pi")
-                    m.add_constraint({blk["pi"][j][v]: 1.0, blk["mu1"]: -1.0, r[j][v]: -M},
-                                     ">=", -M, name=f"pi_c[{j},{v},{k},{cut.l}]",
-                                     family="mp_pi")
-                m.add_constraint({blk["varrho"][j]: 1.0, z[j]: -M}, "<=", 0.0,
-                                 name=f"vr_a[{j},{k},{cut.l}]", family="mp_varrho")
-                m.add_constraint({blk["varrho"][j]: 1.0, blk["nu"][j]: -1.0}, "<=", 0.0,
-                                 name=f"vr_b[{j},{k},{cut.l}]", family="mp_varrho")
-                m.add_constraint({blk["varrho"][j]: 1.0, blk["nu"][j]: -1.0, z[j]: -M},
-                                 ">=", -M, name=f"vr_c[{j},{k},{cut.l}]", family="mp_varrho")
+                    link_bin_cont(m, blk["pi"][j][v], blk["mu1"], r[j][v], "mp_pi", registry)
+                link_bin_cont(m, blk["varrho"][j], blk["nu"][j], z[j], "mp_varrho", registry)
+            blk["links"] = registry.links[first:]
 
     # optional scheme restrictions (these add rows, so size audits use the
     # unrestricted build)
@@ -447,7 +419,7 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
     m.set_objective(obj)
 
     idx = {"z": z, "r": r, "rs": rs, "tp": tp, "xp": xp, "x0p": x0p, "yp": yp,
-           "g0": g0, "rho": rho, "zeta": zeta, "duals": duals, "cut_rows": cut_rows}
+           "g0": g0, "duals": duals, "cut_rows": cut_rows}
     return MasterModel(model=m.finalize(), registry=registry, idx=idx,
                        cuts=list(cuts), dims=(I, J, K, V, H, L), variant=variant)
 
@@ -488,34 +460,11 @@ def extract_master_solution(instance, bundle, result):
                           cost_operating=cost_op, status=result.status)
 
 
-def linearization_audit(instance, bundle, result):
-    """Worst |linked variable - defining product| across rho/zeta/kappa/pi/varrho."""
-    inst = instance
-    I, J, K, V, H, L = bundle.dims
+def linearization_audit(bundle, result):
+    """Worst |U - a*b| over the product links (U, a, b) the master recorded."""
     vals = result.values
-    idx = bundle.idx
-    worst = 0.0
-    for k in range(K):
-        for j in range(J):
-            for v in range(V):
-                worst = max(worst, abs(vals[idx["rho"][k][j][v]]
-                                       - vals[idx["r"][j][v]] * vals[idx["yp"][k][j]]))
-            for h in range(H):
-                worst = max(worst, abs(vals[idx["zeta"][k][j][h]]
-                                       - vals[idx["rs"][j][h]] * vals[idx["tp"][k][j]]))
-    for li in range(L):
-        for k in range(K):
-            blk = idx["duals"][li][k]
-            for j in range(J):
-                for h in range(H):
-                    worst = max(worst, abs(vals[blk["kappa"][j][h]]
-                                           - vals[idx["rs"][j][h]] * vals[blk["mu1"]]))
-                for v in range(V):
-                    worst = max(worst, abs(vals[blk["pi"][j][v]]
-                                           - vals[idx["r"][j][v]] * vals[blk["mu1"]]))
-                worst = max(worst, abs(vals[blk["varrho"][j]]
-                                       - vals[blk["nu"][j]] * vals[idx["z"][j]]))
-    return worst
+    return max((abs(vals[U] - vals[a] * vals[b]) for U, a, b in bundle.registry.links),
+               default=0.0)
 
 
 def repair_dual_blocks(instance, bundle, result, config=None):
@@ -557,16 +506,14 @@ def repair_dual_blocks(instance, bundle, result, config=None):
                 vals[blk["nu"][j]] = 0.0
                 vals[blk["Gamma"][j]] = 0.0
                 vals[blk["sigma"][j]] = 0.0
-                vals[blk["varrho"][j]] = 0.0
-                for h in range(H):
-                    vals[blk["kappa"][j][h]] = 0.0
-                for v in range(V):
-                    vals[blk["pi"][j][v]] = 0.0
             for i in range(I):
                 vals[blk["xi"][i]] = 0.0
                 vals[blk["eta"][i]] = 0.0
                 for j in range(J):
                     vals[blk["tau"][i][j]] = 0.0
+            # with mu1 and nu at 0 the block's products are 0 too, which the
+            # escape branch's cut-row activity relies on
+            _set_products(vals, blk["links"])
 
             ft = solve_fixed_t_lp(inst, k, leader, tl, variant, config)
             if ft.status == STATUS_OPTIMAL:
@@ -576,10 +523,6 @@ def repair_dual_blocks(instance, bundle, result, config=None):
                 for j in range(J):
                     vals[blk["Gamma"][j]] = d.Gamma[j]
                     vals[blk["sigma"][j]] = d.sigma[j]
-                    for h in range(H):
-                        vals[blk["kappa"][j][h]] = vals[idx["rs"][j][h]] * d.mu1
-                    for v in range(V):
-                        vals[blk["pi"][j][v]] = vals[idx["r"][j][v]] * d.mu1
                 for i in range(I):
                     vals[blk["xi"][i]] = d.xi[i]
                     vals[blk["eta"][i]] = d.eta[i]
@@ -604,19 +547,19 @@ def repair_dual_blocks(instance, bundle, result, config=None):
                         if overshoot <= 0:
                             raise BilevelError(
                                 f"cut ({k},{cut.l}) infeasible with no escape direction")
-                        mu1 = (need + margin) / overshoot
-                        vals[blk["mu1"]] = mu1
+                        vals[blk["mu1"]] = (need + margin) / overshoot
                         vals[blk["mu2"]] = 0.0
-                        for j in range(J):
-                            for h in range(H):
-                                vals[blk["kappa"][j][h]] = vals[idx["rs"][j][h]] * mu1
-                            for v in range(V):
-                                vals[blk["pi"][j][v]] = vals[idx["r"][j][v]] * mu1
+            _set_products(vals, blk["links"])
 
     worst = model.max_violation(vals)
     if worst > 1e-5:
         raise BilevelError(f"dual-block repair left a violation of {worst:.3e}")
     return result
+
+
+def _set_products(vals, links):
+    for U, a, b in links:
+        vals[U] = vals[a] * vals[b]
 
 
 def _solve_master(instance, bundle, config, backend):
@@ -806,7 +749,7 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
                                f"{state.iteration}")
         master = extract_master_solution(inst, bundle, res)
         state.linearization_worst = max(state.linearization_worst,
-                                        linearization_audit(inst, bundle, res))
+                                        linearization_audit(bundle, res))
         bundle.registry.validate(res.values)
         state.bigm_flags.extend(bundle.registry.flagged_families())
 
@@ -905,7 +848,7 @@ def solve_bruteforce(instance, variant=DEFAULT_VARIANT, config=None,
         return None, "NA"
     if res.status != STATUS_OPTIMAL:
         raise BilevelError(f"full-enumeration model ended with status {res.status}")
-    worst = linearization_audit(inst, bundle, res)
+    worst = linearization_audit(bundle, res)
     if worst > 1e-5:
         raise BilevelError(f"linearization mismatch {worst:.3e} in full enumeration")
     return extract_master_solution(inst, bundle, res), STATUS_OPTIMAL

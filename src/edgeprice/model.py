@@ -2,10 +2,12 @@
 
 Models are sparse collections of variables, linear constraints, and a
 linear objective.  The module also provides the exact linearization
-toolkit for products of binary and continuous variables (big-M based)
-and binary-binary products (no big-M needed), plus a registry that
-tracks the big-M constants used by each constraint family so their
-validity can be audited after a solve.
+toolkit: the caller declares a product variable and the toolkit adds
+its three rows, big-M based for a binary times a continuous variable
+(M is the continuous variable's declared upper bound) and M-free for
+two binaries.  A registry records every product built against it, for
+a post-solve linearization audit, and tracks the big-M constants of
+each constraint family so their validity can be audited too.
 """
 
 from __future__ import annotations
@@ -261,11 +263,13 @@ def _format_terms(coeffs, variables, offset=0.0):
 class BigMRegistry:
     """Big-M bookkeeping per constraint family, with post-solve validation.
 
-    Every linearization family built into a model must be registered here,
-    together with the variable indices whose values are capped by that M.
-    After a solve, ``validate`` flags any watched variable that reached
-    0.99*M, which is the symptom of an M chosen too small (the linearized
-    model may then be cutting off genuinely feasible points).
+    ``register`` records a family's M together with the variable indices
+    whose values that M caps.  After a solve, ``validate`` flags any
+    watched variable that reached 0.99*M, which is the symptom of an M
+    chosen too small (the linearized model may then be cutting off
+    genuinely feasible points).  ``links`` lists every product the
+    linearization toolkit built against this registry as (U, a, b) with
+    U = a*b, so a solution's linearization error can be audited.
     """
 
     FLAG_RATIO = 0.99
@@ -273,6 +277,7 @@ class BigMRegistry:
     def __init__(self):
         self.entries = {}           # family -> (M, [watched var indices])
         self.flags = {}             # family -> dict with max value / ratio after validate()
+        self.links = []             # (U, a, b) index triples with U = a*b
 
     def register(self, family, M, watch=()):
         if M <= 0:
@@ -307,96 +312,52 @@ class BigMRegistry:
         return sorted(f for f, rec in self.flags.items() if rec["flagged"])
 
 
-def default_dual_bound(max_price, max_demand, factor=1e4):
-    """Default big-M for dual-side variables: 1e4 * (max price * max demand).
-
-    The underlying formulation gives no usable finite bound for the dual
-    variables, so this is deliberately generous; the registry's 0.99*M
-    validation turns a too-small choice into a diagnosable event.
-    """
-    base = max(max_price * max_demand, 1e-6)
-    return factor * base
-
-
 # -- linearization toolkit -------------------------------------------
 
 
-def link_bin_cont(model, u, b, M, name=None, family="link_bin_cont", registry=None):
-    """Add U with U = u*b enforced linearly; returns the index of U.
+def _product_var(model, U):
+    var = model.variables[U]
+    if var.lb != 0.0:
+        raise ModelError(f"product variable {var.name} must have lower bound 0, has {var.lb}")
+    return var
 
-    Constraints: U <= M*b, U <= u + M - M*b, U >= u + M*b - M, with
-    U >= 0 carried by the variable's lower bound.  Exact whenever
-    0 <= u <= M, hence the guard on u's declared upper bound.
+
+def link_bin_cont(model, U, u, b, family="link_bin_cont", registry=None):
+    """Constrain U = u*b for continuous u and binary b; returns U.
+
+    Rows: U <= M*b, U <= u, U >= u + M*b - M, with U >= 0 carried by U's
+    lower bound.  M is u's declared upper bound, so the rows are exact
+    for 0 <= u <= M, and U <= u is the tightest valid second row.
     """
-    if M <= 0:
-        raise ModelError(f"link_bin_cont requires M > 0, got {M}")
+    name = _product_var(model, U).name
     uvar = model.variables[u]
     bvar = model.variables[b]
     if bvar.kind != BINARY:
         raise ModelError(f"link_bin_cont partner {bvar.name} is not binary")
-    if uvar.ub > M:
-        raise ModelError(
-            f"link_bin_cont: variable {uvar.name} has upper bound {uvar.ub} > M={M}; "
-            "the linearization would cut off feasible points")
-    if uvar.lb < 0:
-        raise ModelError(f"link_bin_cont requires a nonnegative variable, {uvar.name} has lb {uvar.lb}")
-    name = name or f"link[{uvar.name}*{bvar.name}]"
-    U = model.add_var(name, CONTINUOUS, lb=0.0, ub=M, tag=name)
+    M = uvar.ub
+    if uvar.lb < 0 or not 0 < M < INF:
+        raise ModelError(f"link_bin_cont needs 0 <= {uvar.name} <= M with a finite M > 0; "
+                         f"{uvar.name} has bounds [{uvar.lb}, {uvar.ub}]")
     model.add_constraint({U: 1.0, b: -M}, "<=", 0.0, name=f"{name}:ub_bin", family=family)
-    model.add_constraint({U: 1.0, u: -1.0, b: M}, "<=", M, name=f"{name}:ub_cont", family=family)
+    model.add_constraint({U: 1.0, u: -1.0}, "<=", 0.0, name=f"{name}:ub_cont", family=family)
     model.add_constraint({U: 1.0, u: -1.0, b: -M}, ">=", -M, name=f"{name}:lb", family=family)
     if registry is not None:
-        registry.register(family, M, watch=[u])
+        registry.links.append((U, u, b))
     return U
 
 
-def link_bin_bin(model, b1, b2, name=None, family="link_bin_bin"):
-    """Add Z with Z = b1*b2 enforced linearly (no big-M); returns Z's index."""
+def link_bin_bin(model, Z, b1, b2, family="link_bin_bin", registry=None):
+    """Constrain Z = b1*b2 for binaries b1, b2 (no big-M); returns Z."""
+    name = _product_var(model, Z).name
     for b in (b1, b2):
         if model.variables[b].kind != BINARY:
             raise ModelError(f"link_bin_bin argument {model.variables[b].name} is not binary")
-    v1, v2 = model.variables[b1], model.variables[b2]
-    name = name or f"and[{v1.name}*{v2.name}]"
-    Z = model.add_var(name, CONTINUOUS, lb=0.0, ub=1.0, tag=name)
     model.add_constraint({Z: 1.0, b1: -1.0}, "<=", 0.0, name=f"{name}:le1", family=family)
     model.add_constraint({Z: 1.0, b2: -1.0}, "<=", 0.0, name=f"{name}:le2", family=family)
     model.add_constraint({Z: 1.0, b1: -1.0, b2: -1.0}, ">=", -1.0, name=f"{name}:ge", family=family)
+    if registry is not None:
+        registry.links.append((Z, b1, b2))
     return Z
-
-
-def expand_price_product(model, prices, selectors, partner, M=None, name=None,
-                         family="price_product", registry=None):
-    """Exact linear expression for (sum_v price_v * r_v) * w.
-
-    ``selectors`` are the one-hot binaries r_v (a sum-to-one constraint over
-    exactly these variables must already be in the model); ``partner`` is w,
-    either binary (no M needed) or nonnegative continuous with ub <= M.
-    Returns an Expr equal to the product at every feasible point.
-    """
-    if len(prices) == 0:
-        raise ModelError("expand_price_product: empty price grid")
-    if len(prices) != len(selectors):
-        raise ModelError("expand_price_product: grid and selector lengths differ")
-    sel_set = set(selectors)
-    for con in model.constraints:
-        if con.sense == "==" and abs(con.rhs - 1.0) < 1e-12:
-            if set(con.coeffs) == sel_set and all(abs(c - 1.0) < 1e-12 for c in con.coeffs.values()):
-                break
-    else:
-        raise ModelError("expand_price_product: no sum-to-one constraint found over the selectors")
-    partner_var = model.variables[partner]
-    name = name or f"prod[{partner_var.name}]"
-    expr = Expr()
-    for v, (price, r) in enumerate(zip(prices, selectors)):
-        if partner_var.kind == BINARY:
-            linked = link_bin_bin(model, r, partner, name=f"{name}:{v}", family=family)
-        else:
-            if M is None:
-                raise ModelError("expand_price_product: M required for a continuous partner")
-            linked = link_bin_cont(model, partner, r, M, name=f"{name}:{v}",
-                                   family=family, registry=registry)
-        expr.add(linked, price)
-    return expr
 
 
 def model_stats(model):

@@ -143,15 +143,16 @@ class BoundedSimplex:
         self.max_iterations = max_iterations
 
         self.row_scale, self.col_scale = _equilibrate(A)
+        entry_col = np.repeat(np.arange(self.n), np.diff(A.indptr))
         self.A_scaled = sp.csc_matrix(
-            sp.diags(self.row_scale) @ A @ sp.diags(self.col_scale))
+            (A.data * self.row_scale[A.indices] * self.col_scale[entry_col],
+             A.indices, A.indptr), shape=A.shape)
         self.b_scaled = self.row_scale * self.b_orig
 
         # column singletons of the scaled matrix, by ascending column:
         # the crash basis may use them to cover their row
         A_s = self.A_scaled
         nonzero = A_s.data != 0.0
-        entry_col = np.repeat(np.arange(self.n), np.diff(A_s.indptr))
         count = np.bincount(entry_col[nonzero], minlength=self.n)
         single = nonzero & (count[entry_col] == 1)
         self._single_col = entry_col[single]

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from edgeprice.bilevel import (BilevelError, Cut, Sp2Infeasible, build_master,
-                               mp_size, platform_profit, run_algorithm1,
-                               solve_bruteforce, solve_hpp, solve_sp2,
-                               verify_bilevel_solution)
+                               linearization_audit, mp_size, platform_profit,
+                               repair_dual_blocks, run_algorithm1, solve_bruteforce,
+                               solve_hpp, solve_sp2, verify_bilevel_solution)
 from edgeprice.follower import LeaderDecision, solve_fixed_t_lp, solve_sp1
 from edgeprice.instance import GenConfig, generate
 from edgeprice.model import Expr, MilpModel
@@ -188,6 +188,24 @@ class TestMasterRelaxationChain:
             bundle = build_master(inst, cuts)
             assert bundle.model.stats().as_tuple() == \
                 mp_size(inst.I, inst.J, inst.K, inst.V, inst.H, L).as_tuple()
+
+    def test_audit_sees_every_product_family(self):
+        inst = tiny_gen(4)
+        cut = Cut(l=1, t_vectors=tuple(tuple(j % 2 for j in range(inst.J))
+                                       for _ in range(inst.K)))
+        bundle = build_master(inst, [cut])
+        I, J, K, V, H, L = bundle.dims
+        links = bundle.registry.links
+        assert len(links) == K * J * (V + H) + L * K * J * (V + H + 1)
+        res = backend_solve_polished("highs", bundle.model)
+        repair_dual_blocks(inst, bundle, res)
+        assert linearization_audit(bundle, res) <= 1e-6
+        names = [bundle.model.variables[U].name for U, _, _ in links]
+        for family in ("rho[", "zeta[", "kappa[", "pi[", "varrho["):
+            U = links[next(n for n, name in enumerate(names) if name.startswith(family))][0]
+            res.values[U] += 0.5
+            assert linearization_audit(bundle, res) >= 0.5 - 1e-9, family
+            res.values[U] -= 0.5
 
 
 class TestSp2:

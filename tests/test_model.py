@@ -3,9 +3,8 @@ import math
 
 import pytest
 
-from edgeprice.model import (BigMRegistry, Expr, MilpModel, ModelError,
-                             default_dual_bound, expand_price_product,
-                             link_bin_bin, link_bin_cont, model_stats)
+from edgeprice.model import (BigMRegistry, MilpModel, ModelError, link_bin_bin,
+                             link_bin_cont, model_stats)
 from edgeprice.solve import solve_lp
 
 
@@ -25,21 +24,24 @@ def feasible_range(model, target, fixes):
     return lo, hi
 
 
+def product_model(u_ub=4.0):
+    """u in [0, u_ub], binary b and a declared product U, linked."""
+    m = MilpModel()
+    u = m.add_var("u", ub=u_ub)
+    b = m.add_var("b", "binary")
+    U = m.add_var("U")
+    return m, u, b, link_bin_cont(m, U, u, b)
+
+
 class TestLinkBinCont:
     def test_b_zero_forces_zero(self):
-        m = MilpModel()
-        u = m.add_var("u", ub=4.0)
-        b = m.add_var("b", "binary")
-        U = link_bin_cont(m, u, b, M=4.0)
+        m, u, b, U = product_model()
         lo, hi = feasible_range(m, U, {u: 2.5, b: 0})
         assert lo.objective == pytest.approx(0.0, abs=1e-9)
         assert hi.objective == pytest.approx(0.0, abs=1e-9)
 
     def test_b_one_collapses_to_u(self):
-        m = MilpModel()
-        u = m.add_var("u", ub=4.0)
-        b = m.add_var("b", "binary")
-        U = link_bin_cont(m, u, b, M=4.0)
+        m, u, b, U = product_model()
         lo, hi = feasible_range(m, U, {u: 2.5, b: 1})
         assert lo.objective == pytest.approx(2.5, abs=1e-9)
         assert hi.objective == pytest.approx(2.5, abs=1e-9)
@@ -48,22 +50,35 @@ class TestLinkBinCont:
         # brute-force check over u in {0, M/2, M} x b in {0,1}
         M = 6.0
         for u_val, b_val in itertools.product((0.0, M / 2, M), (0, 1)):
-            m = MilpModel()
-            u = m.add_var("u", ub=M)
-            b = m.add_var("b", "binary")
-            U = link_bin_cont(m, u, b, M=M)
+            m, u, b, U = product_model(M)
             lo, hi = feasible_range(m, U, {u: u_val, b: b_val})
             assert lo.objective == pytest.approx(u_val * b_val, abs=1e-9)
             assert hi.objective == pytest.approx(u_val * b_val, abs=1e-9)
 
+    def test_relaxation_is_tight(self):
+        # the second row is U <= u: with u = 1, M = 4 and b = 0.5 the
+        # relaxation caps U at 1, where U <= u + M(1-b) left it M*b = 2
+        m, u, b, U = product_model(4.0)
+        m.add_constraint({b: 1.0}, "==", 0.5)
+        _, hi = feasible_range(m, U, {u: 1.0})
+        assert hi.objective == pytest.approx(1.0, abs=1e-9)
+
     def test_rejects_bad_M_and_loose_bound(self):
+        # M is u's upper bound: it must be finite and positive, u >= 0,
+        # and the declared product must start at 0
+        for lb, ub in ((0.0, math.inf), (0.0, 0.0), (-1.0, 4.0)):
+            m = MilpModel()
+            u = m.add_var("u", lb=lb, ub=ub)
+            b = m.add_var("b", "binary")
+            U = m.add_var("U")
+            with pytest.raises(ModelError):
+                link_bin_cont(m, U, u, b)
         m = MilpModel()
         u = m.add_var("u", ub=4.0)
         b = m.add_var("b", "binary")
+        U = m.add_var("U", lb=-1.0)
         with pytest.raises(ModelError):
-            link_bin_cont(m, u, b, M=0.0)
-        with pytest.raises(ModelError):
-            link_bin_cont(m, u, b, M=2.0)  # u's ub exceeds M
+            link_bin_cont(m, U, u, b)
 
 
 class TestLinkBinBin:
@@ -72,7 +87,7 @@ class TestLinkBinBin:
         m = MilpModel()
         x = m.add_var("x", "binary")
         y = m.add_var("y", "binary")
-        Z = link_bin_bin(m, x, y)
+        Z = link_bin_bin(m, m.add_var("Z"), x, y)
         lo, hi = feasible_range(m, Z, {x: b1, y: b2})
         assert lo.objective == pytest.approx(b1 * b2, abs=1e-9)
         assert hi.objective == pytest.approx(b1 * b2, abs=1e-9)
@@ -82,69 +97,7 @@ class TestLinkBinBin:
         x = m.add_var("x")
         y = m.add_var("y", "binary")
         with pytest.raises(ModelError):
-            link_bin_bin(m, x, y)
-
-
-class TestExpandPriceProduct:
-    def _selector_model(self, grid, partner_kind="continuous", M=10.0):
-        m = MilpModel()
-        sel = [m.add_var(f"r{v}", "binary") for v in range(len(grid))]
-        m.add_constraint({s: 1.0 for s in sel}, "==", 1.0, name="one")
-        if partner_kind == "binary":
-            w = m.add_var("w", "binary")
-        else:
-            w = m.add_var("w", ub=M)
-        return m, sel, w
-
-    def test_single_selector_value(self):
-        grid = [0.01, 0.02, 0.03, 0.04, 0.05]
-        m, sel, w = self._selector_model(grid)
-        expr = expand_price_product(m, grid, sel, w, M=10.0)
-        fixes = {sel[v]: (1 if v == 1 else 0) for v in range(5)}
-        fixes[w] = 7.0
-        probe = m.add_var("probe", lb=-math.inf)
-        m.add_constraint(Expr({probe: 1.0}).add_expr(expr, -1.0), "==", 0.0)
-        lo, hi = feasible_range(m, probe, fixes)
-        assert lo.objective == pytest.approx(0.14, abs=1e-9)
-        assert hi.objective == pytest.approx(0.14, abs=1e-9)
-
-    def test_storage_grid_binary_partner(self):
-        grid = [0.005, 0.01, 0.015]
-        m, sel, w = self._selector_model(grid, partner_kind="binary")
-        expr = expand_price_product(m, grid, sel, w)
-        probe = m.add_var("probe", lb=-math.inf)
-        m.add_constraint(Expr({probe: 1.0}).add_expr(expr, -1.0), "==", 0.0)
-        fixes = {sel[0]: 1, sel[1]: 0, sel[2]: 0, w: 1}
-        lo, hi = feasible_range(m, probe, fixes)
-        assert lo.objective == pytest.approx(0.005, abs=1e-12)
-        assert hi.objective == pytest.approx(0.005, abs=1e-12)
-
-    def test_random_samples_match_product(self):
-        import numpy as np
-        rng = np.random.default_rng(5)
-        grid = [0.5, 1.5, 2.5]
-        for _ in range(10):
-            m, sel, w = self._selector_model(grid, M=8.0)
-            expr = expand_price_product(m, grid, sel, w, M=8.0)
-            probe = m.add_var("probe", lb=-math.inf)
-            m.add_constraint(Expr({probe: 1.0}).add_expr(expr, -1.0), "==", 0.0)
-            pick = int(rng.integers(0, 3))
-            wval = float(rng.uniform(0, 8))
-            fixes = {sel[v]: (1 if v == pick else 0) for v in range(3)}
-            fixes[w] = wval
-            lo, hi = feasible_range(m, probe, fixes)
-            assert lo.objective == pytest.approx(grid[pick] * wval, abs=1e-8)
-            assert hi.objective == pytest.approx(grid[pick] * wval, abs=1e-8)
-
-    def test_errors(self):
-        m, sel, w = self._selector_model([1.0, 2.0])
-        with pytest.raises(ModelError):
-            expand_price_product(m, [], [], w, M=1.0)
-        m2 = MilpModel()
-        sel2 = [m2.add_var(f"r{v}", "binary") for v in range(2)]
-        w2 = m2.add_var("w", ub=1.0)
-        with pytest.raises(ModelError):  # no sum-to-one constraint present
-            expand_price_product(m2, [1.0, 2.0], sel2, w2, M=1.0)
+            link_bin_bin(m, m.add_var("Z"), x, y)
 
 
 class TestModelStats:
@@ -224,6 +177,3 @@ class TestBigMRegistry:
         reg = BigMRegistry()
         with pytest.raises(ModelError):
             reg.get("absent")
-
-    def test_default_policy(self):
-        assert default_dual_bound(0.05, 35.0) == pytest.approx(1e4 * 0.05 * 35.0)
