@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from .follower import (DEFAULT_VARIANT, LeaderDecision, ModelVariant,
                        assemble_solution, derived_dual_bound, follower_cost,
                        solve_sp1)
-from .model import (BINARY, BigMRegistry, Expr, MilpModel, ModelStats, link_bin_bin,
-                    link_bin_cont)
+from .model import (BINARY, BigMRegistry, Expr, MilpModel, ModelStats, link_bin_cont,
+                    link_one_hot)
 from .solve import STATUS_OPTIMAL, SolverConfig, backend_solve_polished
 
 INF = math.inf
@@ -55,8 +55,12 @@ class Sp2Infeasible(BilevelError):
 
 
 def mp_size(I, J, K, V, H, L):
-    """Closed-form master-problem size at iteration L."""
-    n_con = 6 * J + K * (J + L + (L + 1) * (1 + 4 * J + I * (J + 2) + 3 * J * (V + H)))
+    """Closed-form master-problem size at iteration L.
+
+    The one-hot price products take V + 1 or H + 1 rows per group; the paper's
+    three rows per product give exactly 2*K*J*(V + H - 1)*(L + 1) more rows.
+    """
+    n_con = 6 * J + K * (J + L + (L + 1) * (1 + 6 * J + I * (J + 2) + J * (V + H)))
     n_cont = K * (1 + I + J + 2 * L * (I + 2 * J + 1) + J * (I + H + V) * (L + 1))
     n_bin = J * (1 + V + H + K)
     return ModelStats(n_con, n_cont, n_bin)
@@ -78,10 +82,6 @@ class Cut:
     l: int
     t_vectors: tuple      # t_vectors[k][j] in {0,1}
     source: str = ""      # provenance: which subproblem produced the placements
-    handles: dict = field(default_factory=dict)
-
-    def same_placements(self, other_vectors):
-        return self.t_vectors == tuple(tuple(int(b) for b in tk) for tk in other_vectors)
 
 
 @dataclass
@@ -288,12 +288,10 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
             m.add_constraint(delay, "<=", inst.Dmax[k] * inst.R[i][k],
                              name=f"delay[{i},{k}]", family="mp_delay")
 
-        # rho = y' * r and zeta = rs * t'
+        # rho = y' * r and zeta = t' * rs
         for j in range(J):
-            for v in range(V):
-                link_bin_cont(m, rho[k][j][v], yp[k][j], r[j][v], "mp_rho", registry)
-            for h in range(H):
-                link_bin_bin(m, zeta[k][j][h], rs[j][h], tp[k][j], "mp_zeta", registry)
+            link_one_hot(m, rho[k][j], yp[k][j], r[j], "mp_rho", registry)
+            link_one_hot(m, zeta[k][j], tp[k][j], rs[j], "mp_zeta", registry)
 
     # one duality block per (service, cut)
     cut_rows = {}
@@ -370,11 +368,8 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
             # kappa = mu1 * rs, pi = mu1 * r, varrho = nu * z
             first = len(registry.links)
             for j in range(J):
-                for h in range(H):
-                    link_bin_cont(m, blk["kappa"][j][h], blk["mu1"], rs[j][h], "mp_kappa",
-                                  registry)
-                for v in range(V):
-                    link_bin_cont(m, blk["pi"][j][v], blk["mu1"], r[j][v], "mp_pi", registry)
+                link_one_hot(m, blk["kappa"][j], blk["mu1"], rs[j], "mp_kappa", registry)
+                link_one_hot(m, blk["pi"][j], blk["mu1"], r[j], "mp_pi", registry)
                 link_bin_cont(m, blk["varrho"][j], blk["nu"][j], z[j], "mp_varrho", registry)
             blk["links"] = registry.links[first:]
 

@@ -484,9 +484,7 @@ def derived_dual_bound(instance):
 
     Bounded by the follower cost ceiling (budget + worst-case penalties)
     and the marginal value of money on the cheapest resource, with a 10x
-    cushion.  Far tighter than the generic default policy, which keeps
-    big-M models numerically tame; the registry's 0.99*M validation still
-    guards the assumption.
+    cushion; the registry's 0.99*M validation guards the assumption.
     """
     inst = instance
     d_max = max(max(inst.d0),

@@ -124,6 +124,8 @@ class Instance:
         for j in range(self.J):
             for name in ("C", "S", "f", "c"):
                 check_nonneg(getattr(self, name)[j], f"{name}[{j}]")
+            if self.C[j] == 0:
+                raise InstanceError(f"invalid value at C[{j}]: 0 (must be positive)")
         check_nonneg(self.p0, "p0")
         if len(self.p_grid) != self.J or len(self.ps_grid) != self.J:
             raise InstanceError("price grids must have one row per EN")

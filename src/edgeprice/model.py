@@ -2,12 +2,12 @@
 
 Models are sparse collections of variables, linear constraints, and a
 linear objective.  The module also provides the exact linearization
-toolkit: the caller declares a product variable and the toolkit adds
-its three rows, big-M based for a binary times a continuous variable
-(M is the continuous variable's declared upper bound) and M-free for
-two binaries.  A registry records every product built against it, for
-a post-solve linearization audit, and tracks the big-M constants of
-each constraint family so their validity can be audited too.
+toolkit: the caller declares product variables, the toolkit adds their
+rows with M the other factor's declared upper bound, convex-hull rows
+for a one-hot group of binaries and three big-M rows for a lone binary.
+A registry records every product built against it, for a post-solve
+linearization audit, and tracks the big-M constants of each constraint
+family so their validity can be audited too.
 """
 
 from __future__ import annotations
@@ -322,22 +322,27 @@ def _product_var(model, U):
     return var
 
 
+def _factor_bound(model, u, bs, caller):
+    """M for products of u with binaries bs: u's declared upper bound."""
+    for b in bs:
+        if model.variables[b].kind != BINARY:
+            raise ModelError(f"{caller} partner {model.variables[b].name} is not binary")
+    uvar = model.variables[u]
+    if uvar.lb < 0 or not 0 < uvar.ub < INF:
+        raise ModelError(f"{caller} needs 0 <= {uvar.name} <= M with a finite M > 0; "
+                         f"{uvar.name} has bounds [{uvar.lb}, {uvar.ub}]")
+    return uvar.ub
+
+
 def link_bin_cont(model, U, u, b, family="link_bin_cont", registry=None):
-    """Constrain U = u*b for continuous u and binary b; returns U.
+    """Constrain U = u*b for u in [0, M] and binary b; returns U.
 
     Rows: U <= M*b, U <= u, U >= u + M*b - M, with U >= 0 carried by U's
     lower bound.  M is u's declared upper bound, so the rows are exact
     for 0 <= u <= M, and U <= u is the tightest valid second row.
     """
     name = _product_var(model, U).name
-    uvar = model.variables[u]
-    bvar = model.variables[b]
-    if bvar.kind != BINARY:
-        raise ModelError(f"link_bin_cont partner {bvar.name} is not binary")
-    M = uvar.ub
-    if uvar.lb < 0 or not 0 < M < INF:
-        raise ModelError(f"link_bin_cont needs 0 <= {uvar.name} <= M with a finite M > 0; "
-                         f"{uvar.name} has bounds [{uvar.lb}, {uvar.ub}]")
+    M = _factor_bound(model, u, [b], "link_bin_cont")
     model.add_constraint({U: 1.0, b: -M}, "<=", 0.0, name=f"{name}:ub_bin", family=family)
     model.add_constraint({U: 1.0, u: -1.0}, "<=", 0.0, name=f"{name}:ub_cont", family=family)
     model.add_constraint({U: 1.0, u: -1.0, b: -M}, ">=", -M, name=f"{name}:lb", family=family)
@@ -346,18 +351,26 @@ def link_bin_cont(model, U, u, b, family="link_bin_cont", registry=None):
     return U
 
 
-def link_bin_bin(model, Z, b1, b2, family="link_bin_bin", registry=None):
-    """Constrain Z = b1*b2 for binaries b1, b2 (no big-M); returns Z."""
-    name = _product_var(model, Z).name
-    for b in (b1, b2):
-        if model.variables[b].kind != BINARY:
-            raise ModelError(f"link_bin_bin argument {model.variables[b].name} is not binary")
-    model.add_constraint({Z: 1.0, b1: -1.0}, "<=", 0.0, name=f"{name}:le1", family=family)
-    model.add_constraint({Z: 1.0, b2: -1.0}, "<=", 0.0, name=f"{name}:le2", family=family)
-    model.add_constraint({Z: 1.0, b1: -1.0, b2: -1.0}, ">=", -1.0, name=f"{name}:ge", family=family)
+def link_one_hot(model, Us, u, bs, family="link_one_hot", registry=None):
+    """Constrain Us[v] = u*bs[v] for u in [0, M] and binaries bs; returns Us.
+
+    The caller's model must force sum_v bs[v] = 1.  Rows: Us[v] <= M*bs[v]
+    per level and sum_v Us[v] = u (Us[v] >= 0 is each lower bound), the
+    convex hull of the disjunction over the levels: exact at every one-hot
+    bs, and U_v <= u and U_v >= u - M(1 - b_v) follow, so its relaxation is
+    at least as tight as one link_bin_cont per level, in V + 1 rows, not 3V.
+    """
+    if not Us or len(Us) != len(bs):
+        raise ModelError(f"link_one_hot got {len(Us)} products for {len(bs)} binaries")
+    names = [_product_var(model, U).name for U in Us]
+    M = _factor_bound(model, u, bs, "link_one_hot")
+    for name, U, b in zip(names, Us, bs):
+        model.add_constraint({U: 1.0, b: -M}, "<=", 0.0, name=f"{name}:ub_bin", family=family)
+    model.add_constraint({**{U: 1.0 for U in Us}, u: -1.0}, "==", 0.0,
+                         name=f"{names[0]}:sum", family=family)
     if registry is not None:
-        registry.links.append((Z, b1, b2))
-    return Z
+        registry.links.extend((U, u, b) for U, b in zip(Us, bs))
+    return Us
 
 
 def model_stats(model):

@@ -71,16 +71,6 @@ class SolveResult:
     duals: np.ndarray | None = None
     stats: dict = field(default_factory=dict)
 
-    def to_json_dict(self):
-        """Wire format of the adapter contract (status/objective/values)."""
-        return {
-            "status": self.status,
-            "objective": self.objective,
-            "values": None if self.values is None else [float(v) for v in self.values],
-            "duals": None if self.duals is None else [float(v) for v in self.duals],
-            "stats": self.stats,
-        }
-
 
 class _ModelCore:
     """Constraint matrix and vectors extracted once per model."""

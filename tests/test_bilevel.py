@@ -189,6 +189,14 @@ class TestMasterRelaxationChain:
             assert bundle.model.stats().as_tuple() == \
                 mp_size(inst.I, inst.J, inst.K, inst.V, inst.H, L).as_tuple()
 
+    @pytest.mark.parametrize("dims,three_row_count", [
+        ((12, 8, 4, 5, 3, 1), 2844), ((6, 4, 3, 5, 3, 0), 483), ((9, 6, 4, 5, 3, 2), 2960)])
+    def test_three_row_layout_difference(self, dims, three_row_count):
+        # row counts of the master built with three McCormick rows per product
+        I, J, K, V, H, L = dims
+        assert mp_size(*dims).n_constraints + 2 * K * J * (V + H - 1) * (L + 1) == \
+            three_row_count
+
     def test_audit_sees_every_product_family(self):
         inst = tiny_gen(4)
         cut = Cut(l=1, t_vectors=tuple(tuple(j % 2 for j in range(inst.J))

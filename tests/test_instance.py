@@ -168,3 +168,8 @@ class TestPersistence:
     def test_eligibility_domain_checked(self):
         with pytest.raises(InstanceError, match=r"a\[0\]\[1\]\[0\]"):
             make_manual_instance(a=[[[1], [2]], [[1], [1]]])
+
+    def test_zero_capacity_rejected_with_path(self):
+        # a node with no capacity has no big-M for its procurement products
+        with pytest.raises(InstanceError, match=r"C\[0\]"):
+            make_manual_instance(C=[0.0, 40.0])

@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from edgeprice.model import (BigMRegistry, MilpModel, ModelError, link_bin_bin,
-                             link_bin_cont, model_stats)
+from edgeprice.model import (BigMRegistry, MilpModel, ModelError, link_bin_cont,
+                             link_one_hot, model_stats)
 from edgeprice.solve import solve_lp
 
 
@@ -81,23 +81,60 @@ class TestLinkBinCont:
             link_bin_cont(m, U, u, b)
 
 
-class TestLinkBinBin:
-    @pytest.mark.parametrize("b1,b2", list(itertools.product((0, 1), repeat=2)))
-    def test_exhaustive(self, b1, b2):
-        m = MilpModel()
-        x = m.add_var("x", "binary")
-        y = m.add_var("y", "binary")
-        Z = link_bin_bin(m, m.add_var("Z"), x, y)
-        lo, hi = feasible_range(m, Z, {x: b1, y: b2})
-        assert lo.objective == pytest.approx(b1 * b2, abs=1e-9)
-        assert hi.objective == pytest.approx(b1 * b2, abs=1e-9)
+def one_hot_model(M=6.0, link=None):
+    """u in [0, M], a 3-level group b with sum(b) = 1, products U = u*b
+    linked by ``link`` (default link_one_hot) and their sum S."""
+    m = MilpModel()
+    u = m.add_var("u", ub=M)
+    bs = [m.add_var(f"b{v}", "binary") for v in range(3)]
+    m.add_constraint({b: 1.0 for b in bs}, "==", 1.0)
+    Us = [m.add_var(f"U{v}") for v in range(3)]
+    if link is None:
+        link_one_hot(m, Us, u, bs)
+    else:
+        for U, b in zip(Us, bs):
+            link(m, U, u, b)
+    S = m.add_var("S")
+    m.add_constraint({S: 1.0, **{U: -1.0 for U in Us}}, "==", 0.0)
+    return m, u, bs, Us, S
 
-    def test_rejects_continuous(self):
-        m = MilpModel()
-        x = m.add_var("x")
-        y = m.add_var("y", "binary")
-        with pytest.raises(ModelError):
-            link_bin_bin(m, m.add_var("Z"), x, y)
+
+class TestLinkOneHot:
+    def test_exact_at_every_integer_point(self):
+        M = 6.0
+        m, u, bs, Us, _ = one_hot_model(M)
+        for w, u_val in itertools.product(range(3), (0.0, M / 2, M)):
+            fixes = {u: u_val, **{b: float(v == w) for v, b in enumerate(bs)}}
+            for v, U in enumerate(Us):
+                lo, hi = feasible_range(m, U, fixes)
+                assert lo.objective == pytest.approx(u_val * (v == w), abs=1e-9)
+                assert hi.objective == pytest.approx(u_val * (v == w), abs=1e-9)
+
+    def test_relaxation_is_tight(self):
+        # with b held at (0.5, 0.5, 0) the sum row keeps sum(U) = u; three
+        # link_bin_cont rows let it fall to max(0, 2u - M) (0 at u = M/2)
+        M = 6.0
+        for link, u_val, want in ((None, M / 2, M / 2), (None, M, M),
+                                  (link_bin_cont, M / 2, 0.0)):
+            m, u, bs, _, S = one_hot_model(M, link)
+            for b, val in zip(bs, (0.5, 0.5, 0.0)):
+                m.add_constraint({b: 1.0}, "==", val)
+            lo, _ = feasible_range(m, S, {u: u_val})
+            assert lo.objective == pytest.approx(want, abs=1e-9)
+
+    def test_rejects_non_binary_bad_M_and_loose_bound(self):
+        def build(u_lb=0.0, u_ub=4.0, b_kind="binary", U_lb=0.0):
+            m = MilpModel()
+            u = m.add_var("u", lb=u_lb, ub=u_ub)
+            bs = [m.add_var("b0", "binary"), m.add_var("b1", b_kind, ub=1.0)]
+            Us = [m.add_var("U0", lb=U_lb), m.add_var("U1")]
+            link_one_hot(m, Us, u, bs)
+
+        build()
+        for bad in (dict(b_kind="continuous"), dict(u_ub=math.inf), dict(u_ub=0.0),
+                    dict(u_lb=-1.0), dict(U_lb=-1.0)):
+            with pytest.raises(ModelError):
+                build(**bad)
 
 
 class TestModelStats:
