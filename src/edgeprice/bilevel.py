@@ -203,15 +203,6 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
                           watch=[duals[li][k]["nu"][j] for li in range(L)
                                  for k in range(K) for j in range(J)])
 
-    def price_expr(j):
-        e = Expr()
-        for v in range(V):
-            e.add(r[j][v], inst.p_grid[j][v])
-        return e
-
-    def sprice_coeffs(j):
-        return [(rs[j][h], inst.ps_grid[j][h]) for h in range(H)]
-
     # platform block (activation-coupled and absolute capacity caps,
     # plus the one-price-per-node selections)
     for j in range(J):
@@ -718,7 +709,11 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
     """Master/subproblem iteration until the relative gap closes.
 
     Returns an AlgorithmState whose status is "gap-closed", "duplicate-t"
-    (a repeated placement vector proves optimality), or "limit".
+    (a repeated placement vector proves optimality), or "limit".  It always
+    carries an incumbent: before the first master, LB = 0 and the incumbent
+    are seeded with the leader that switches every node off (z = 0 forces
+    t = 0 and y = 0, so the profit is exactly 0), its prices at the grid's
+    first level or at the fixed prices, and each follower's SP1 response.
     """
     if epsilon <= 0:
         raise BilevelError("epsilon must be positive")
@@ -729,6 +724,14 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
     t_start = time.perf_counter()
     deadline = t_start + time_limit if time_limit is not None else None
     scale_tol = 1e-6
+
+    state.incumbent_leader = LeaderDecision.from_prices(
+        inst, p=[inst.p_grid[j][0] if fixed_price is None else fixed_price for j in range(J)],
+        ps=[inst.ps_grid[j][0] if fixed_sprice is None else fixed_sprice for j in range(J)],
+        z=[0] * J)
+    state.incumbent_solutions = [solve_sp1(inst, k, state.incumbent_leader, variant, config,
+                                           backend)[0] for k in range(inst.K)]
+    state.LB = 0.0
 
     while state.iteration < cap:
         if deadline is not None and time.perf_counter() > deadline:
@@ -814,9 +817,6 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
         state.status = "limit"
 
     state.wall_time = time.perf_counter() - t_start
-    if state.incumbent_leader is None and state.status in ("gap-closed", "duplicate-t"):
-        # gap closed on the very first check (e.g. LB from an earlier phase)
-        state.status = "limit"
     return state
 
 

@@ -104,16 +104,13 @@ def cmd_solve(args):
     solution = {
         "scheme": result.scheme,
         "status": result.status,
-        "profit": result.profit if result.profit == result.profit else None,
+        "profit": result.profit,
         "epsilon": args.epsilon,
         "iterations": state.iteration,
         "final_gap": state.gap if state.UB != float("inf") else None,
-        "leader": None,
+        "leader": {"p": result.leader.p, "ps": result.leader.ps, "z": result.leader.z},
         "services": result.reports,
     }
-    if result.leader is not None:
-        solution["leader"] = {"p": result.leader.p, "ps": result.leader.ps,
-                              "z": result.leader.z}
     sol_path = os.path.join(args.out, "solution.json")
     with open(sol_path, "w") as fh:
         json.dump(solution, fh, indent=1, sort_keys=True)

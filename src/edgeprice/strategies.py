@@ -20,7 +20,6 @@ this exactly.  Sweeps emit flat CSV-ready rows, one per
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 from .bilevel import (Cut, build_master, build_sp2, mp_size, run_algorithm1,
@@ -53,8 +52,8 @@ class SchemeResult:
     scheme: str
     status: str
     profit: float
-    leader: LeaderDecision | None
-    solutions: list | None
+    leader: LeaderDecision
+    solutions: list
     state: object
     reports: list = field(default_factory=list)
 
@@ -92,13 +91,11 @@ def solve_scheme(instance, scheme, epsilon=1e-4, config=None, backend="reference
                                **kwargs)
 
     reports = []
-    if state.incumbent_solutions is not None:
-        for k, sol in enumerate(state.incumbent_solutions):
-            rep = sol.to_json_dict()
-            rep["service"] = k
-            reports.append(rep)
-    profit = state.LB if state.LB != -math.inf else float("nan")
-    return SchemeResult(scheme=scheme.kind, status=state.status, profit=profit,
+    for k, sol in enumerate(state.incumbent_solutions):
+        rep = sol.to_json_dict()
+        rep["service"] = k
+        reports.append(rep)
+    return SchemeResult(scheme=scheme.kind, status=state.status, profit=state.LB,
                         leader=state.incumbent_leader,
                         solutions=state.incumbent_solutions, state=state,
                         reports=reports)
@@ -180,15 +177,13 @@ def run_sweep(spec, on_row=None):
                     row["profit"] = outcome.profit
                     row["iterations"] = outcome.state.iteration
                     row["wall_time"] = round(outcome.state.wall_time, 3)
-                    if outcome.leader is not None:
-                        row["active_ens"] = sum(outcome.leader.z)
-                        row["prices"] = "|".join(f"{p:g}" for p in outcome.leader.p)
-                        row["storage_prices"] = "|".join(f"{p:g}" for p in outcome.leader.ps)
-                    if outcome.solutions is not None:
-                        row["placements"] = sum(sum(s.t) for s in outcome.solutions)
-                        row["unmet_total"] = round(sum(sum(s.q) for s in outcome.solutions), 6)
-                        delays = [d for s in outcome.solutions for d in s.avg_delay]
-                        row["mean_avg_delay"] = round(sum(delays) / len(delays), 6) if delays else ""
+                    row["active_ens"] = sum(outcome.leader.z)
+                    row["prices"] = "|".join(f"{p:g}" for p in outcome.leader.p)
+                    row["storage_prices"] = "|".join(f"{p:g}" for p in outcome.leader.ps)
+                    row["placements"] = sum(sum(s.t) for s in outcome.solutions)
+                    row["unmet_total"] = round(sum(sum(s.q) for s in outcome.solutions), 6)
+                    delays = [d for s in outcome.solutions for d in s.avg_delay]
+                    row["mean_avg_delay"] = round(sum(delays) / len(delays), 6) if delays else ""
                 except Exception as exc:  # keep sweeping; the row carries the failure
                     row["status"] = "error"
                     row["error"] = str(exc)

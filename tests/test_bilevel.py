@@ -11,6 +11,7 @@ from edgeprice.follower import LeaderDecision, solve_fixed_t_lp, solve_sp1
 from edgeprice.instance import GenConfig, generate
 from edgeprice.model import Expr, MilpModel
 from edgeprice.solve import backend_solve_polished, solve_lp
+from edgeprice.strategies import solve_scheme
 
 from conftest import make_manual_instance, rel_close, zero_demand_instance
 
@@ -312,6 +313,31 @@ class TestAlgorithmBruteForceAgreement:
         inst = tiny_gen(7)
         state = run_algorithm1(inst, epsilon=1e-8, backend="highs", time_limit=0.0)
         assert state.status == "limit"
+
+
+class TestIncumbentSeed:
+    def test_base_preset_without_sp2_incumbent(self):
+        # base seed 0: SP2 is infeasible at both iterations, so the only
+        # incumbent is the all-off seed
+        inst = generate(GenConfig(I=12, J=8, K=4, seed=0))
+        state = run_algorithm1(inst, backend="highs", max_iterations=2)
+        assert state.status == "limit"
+        assert state.LB == 0.0
+        assert all(cut.source == "sp1-fallback" for cut in state.cuts)
+        report = verify_bilevel_solution(inst, state.incumbent_leader,
+                                         state.incumbent_solutions, backend="highs")
+        assert report["ok"]
+        assert report["profit"] == 0.0
+
+    def test_seed_keeps_fixed_prices(self):
+        inst = tiny_gen(45)
+        res = solve_scheme(inst, "avg", backend="highs", max_iterations=0)
+        assert res.status == "limit" and res.profit == 0.0
+        assert res.leader.z == [0] * inst.J
+        assert res.leader.p == pytest.approx([0.03] * inst.J)
+        assert res.leader.ps == pytest.approx([0.01] * inst.J)
+        report = verify_bilevel_solution(inst, res.leader, res.solutions, backend="highs")
+        assert report["ok"] and report["profit"] == 0.0
 
 
 class TestBruteForceGuard:

@@ -1,8 +1,11 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeWarning
 
+from edgeprice import solve
 from edgeprice.model import MilpModel, ModelError
 from edgeprice.solve import (STATUS_GAP_LIMIT, STATUS_INFEASIBLE, STATUS_OPTIMAL,
                              STATUS_TIME_LIMIT, STATUS_UNBOUNDED, SolveResult,
@@ -278,6 +281,31 @@ class TestBackends:
             for b in bs:
                 assert float(res.values[b]) in (0.0, 1.0)
             assert res.objective == pytest.approx(100.5)
+
+
+def knapsack():
+    m = MilpModel("k", "max")
+    bs = [m.add_var(f"b{i}", "binary") for i in range(4)]
+    m.add_constraint({b: w for b, w in zip(bs, (3.0, 4.0, 5.0, 6.0))}, "<=", 10.0)
+    m.set_objective({b: v for b, v in zip(bs, (4.0, 5.0, 7.0, 8.0))})
+    return m.finalize()
+
+
+class TestHighsOptions:
+    def test_options_reach_highs_without_warnings(self):
+        with warnings.catch_warnings():
+            # fails if HiGHS no longer knows an option name (OptimizeWarning)
+            # or if milp's "passed verbatim" RuntimeWarning escapes the adapter
+            warnings.simplefilter("error")
+            res = get_backend("highs").solve_milp(knapsack())
+        assert res.status == STATUS_OPTIMAL and res.objective == pytest.approx(13.0)
+
+    def test_unknown_option_name_is_loud(self, monkeypatch):
+        monkeypatch.setitem(solve.HIGHS_MILP_OPTIONS, "mip_heuristic_run_rinz", False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OptimizeWarning, match="mip_heuristic_run_rinz"):
+                get_backend("highs").solve_milp(knapsack())
 
 
 class TestPolish:
