@@ -29,8 +29,8 @@ import time
 from dataclasses import dataclass, field
 
 from .follower import (DEFAULT_VARIANT, LeaderDecision, ModelVariant,
-                       assemble_solution, derived_dual_bound, follower_cost,
-                       solve_sp1)
+                       assemble_solution, budget_cannot_bind, derived_dual_bound,
+                       follower_cost, solve_sp1)
 from .model import (BINARY, BigMRegistry, Expr, MilpModel, ModelStats, link_bin_cont,
                     link_one_hot)
 from .solve import STATUS_OPTIMAL, SolverConfig, backend_solve_polished
@@ -149,6 +149,20 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
     exactly.  Every bilinear product goes through the linearization
     toolkit, so the bundle's registry lists each one as a link; each
     duality block keeps its own links under "links".
+
+    Every block of a service k for which ``budget_cannot_bind`` holds has
+    its budget dual mu1 fixed at 0 (pi and kappa follow through their sum
+    rows).  Proof: ``Instance.validate`` makes every price nonnegative and
+    every grid increasing, so no placement costs more than P_k < B_k.  At
+    an optimum of a fixed-placement LP, y0 = sum_i x0_i when p0 > 0 and
+    y_j = sum_i x_ij when p_j > 0 (otherwise that spend term is 0), so the
+    spend is at most p_top * D_k and the budget row is slack at every
+    optimum.  The LP without its budget row therefore has the same value,
+    and its dual is the block with mu1 = 0.  So for every integer leader
+    each block projects to the same cut, the nu escape for closed nodes
+    included (it does not use mu1): the feasible set and the optimum do
+    not move, only the LP relaxation tightens.  Rows, columns and the
+    links' M are those of the unfixed build.
     """
     inst = instance
     I, J, K, V, H = inst.I, inst.J, inst.K, inst.V, inst.H
@@ -388,6 +402,10 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
             for h in range(H):
                 var = m.variables[rs[j][h]]
                 var.lb = var.ub = 1.0 if h == sel else 0.0
+    for k in range(K):
+        if budget_cannot_bind(inst, k):
+            for per_cut in duals:
+                m.variables[per_cut[k]["mu1"]].ub = 0.0
 
     # platform profit: placement + edge revenue - operating cost
     obj = Expr()

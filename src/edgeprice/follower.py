@@ -483,13 +483,16 @@ def derived_dual_bound(instance):
     """Instance-derived cap for dual-side variables.
 
     Bounded by the follower cost ceiling (budget + worst-case penalties)
-    and the marginal value of money on the cheapest resource, with a 10x
-    cushion; the registry's 0.99*M validation guards the assumption.
+    and the marginal value of money on the cheapest resource (the
+    smallest positive price), with a 10x cushion; the registry's 0.99*M
+    validation guards the assumption.  It caps every KKT-follower dual and
+    the master's nu; the master's mu1 (with pi and kappa) too, except in
+    services where ``budget_cannot_bind`` holds: there mu1 is fixed at 0.
     """
     inst = instance
     d_max = max(max(inst.d0),
                 max(inst.d[i][j] for i in range(inst.I) for j in range(inst.J)))
-    price_floor = min([p for p in [inst.p0] + [row[0] for row in inst.p_grid] if p > 0]
+    price_floor = min([p for p in [inst.p0, *itertools.chain(*inst.p_grid)] if p > 0]
                       or [1e-3])
     scale = 0.0
     for k in range(inst.K):
@@ -499,6 +502,23 @@ def derived_dual_bound(instance):
                  + inst.w[k] * d_max) / price_floor
         scale = max(scale, ceiling, money)
     return 10.0 * (scale + 1.0)
+
+
+def budget_cannot_bind(instance, k):
+    """True when service k's budget exceeds its largest possible spend.
+
+    That spend is p_top * D_k + P_k: the highest unit price (cloud or any
+    grid level) times the total demand, plus the placement fees at every
+    node at the highest storage price, charged in both model variants
+    (conservative when the variant does not charge them).  The test is
+    strict with a relative margin; ``build_master`` has the proof.
+    """
+    inst = instance
+    p_top = max([inst.p0] + [row[-1] for row in inst.p_grid])
+    placement_top = sum(inst.phi[j][k] + inst.s_tb(k) * inst.ps_grid[j][-1]
+                        for j in range(inst.J))
+    spend = p_top * inst.total_demand(k) + placement_top
+    return spend < inst.B[k] - 1e-9 * (1.0 + inst.B[k])
 
 
 @dataclass

@@ -7,7 +7,8 @@ from edgeprice.bilevel import (BilevelError, Cut, Sp2Infeasible, build_master,
                                linearization_audit, mp_size, platform_profit,
                                repair_dual_blocks, run_algorithm1, solve_bruteforce,
                                solve_hpp, solve_sp2, verify_bilevel_solution)
-from edgeprice.follower import LeaderDecision, solve_fixed_t_lp, solve_sp1
+from edgeprice.follower import (LeaderDecision, budget_cannot_bind, derived_dual_bound,
+                                solve_fixed_t_lp, solve_sp1)
 from edgeprice.instance import GenConfig, generate
 from edgeprice.model import Expr, MilpModel
 from edgeprice.solve import backend_solve_polished, solve_lp
@@ -130,6 +131,61 @@ class TestManualEnumerationOracle:
         assert status == "optimal"
         assert rel_close(state.LB, bf.theta)
         assert rel_close(state.LB, manual_bilevel_enumeration(inst))
+
+
+class TestBudgetDual:
+    """The master fixes mu1 at 0 only where a service's budget cannot bind."""
+
+    @pytest.mark.parametrize("B,psi,expected", [(1.8, 0.6, 0.69625), (1.5, 0.5, 0.115)])
+    def test_binding_budget_matches_manual_enumeration(self, B, psi, expected):
+        inst = make_manual_instance(B=[B], psi=[[psi], [psi]])
+        assert not budget_cannot_bind(inst, 0)
+        oracle = manual_bilevel_enumeration(inst)
+        assert rel_close(oracle, expected)
+        state = run_algorithm1(inst, epsilon=1e-8, backend="highs")
+        bf, status = solve_bruteforce(inst, backend="highs")
+        assert status == "optimal"
+        assert rel_close(state.LB, oracle)
+        assert rel_close(bf.theta, oracle)
+
+    def test_binding_budget_has_positive_dual(self):
+        inst = make_manual_instance(B=[1.5], psi=[[0.5], [0.5]])
+        leader = LeaderDecision.from_prices(inst, p=[0.03, 0.03], ps=[0.005, 0.005], z=[1, 1])
+        res = solve_fixed_t_lp(inst, 0, leader, [0, 1])
+        assert res.dual.mu1 == pytest.approx(14.8537, rel=1e-4)
+
+    def test_fix_only_in_slack_service(self):
+        inst = make_manual_instance(K=2, B=[25.0, 1.5], psi=[[0.1, 0.5], [0.1, 0.5]])
+        assert [budget_cannot_bind(inst, k) for k in range(2)] == [True, False]
+        cuts = [Cut(l=1, t_vectors=((0, 1), (0, 1))), Cut(l=2, t_vectors=((1, 1), (1, 0)))]
+        bundle = build_master(inst, cuts)
+        for per_cut in bundle.idx["duals"]:
+            assert bundle.model.variables[per_cut[0]["mu1"]].ub == 0.0
+            assert bundle.model.variables[per_cut[1]["mu1"]].ub == derived_dual_bound(inst)
+        state = run_algorithm1(inst, epsilon=1e-8, backend="highs")
+        bf, status = solve_bruteforce(inst, backend="highs")
+        assert status == "optimal"
+        assert rel_close(state.LB, bf.theta)
+        assert rel_close(bf.theta, 1.38287793)
+        assert not state.bigm_flags
+        assert state.linearization_worst <= 1e-6
+
+    @pytest.mark.parametrize("seed", [42, 46])
+    def test_fixed_dual_keeps_the_optimum(self, seed):
+        inst = tiny_gen(seed)
+        assert all(budget_cannot_bind(inst, k) for k in range(inst.K))
+        cuts = [Cut(l=l + 1, t_vectors=tuple(tuple(bits) for _ in range(inst.K)))
+                for l, bits in enumerate(itertools.product((0, 1), repeat=inst.J))]
+        fixed = build_master(inst, cuts)
+        capped = build_master(inst, cuts)
+        for per_cut in capped.idx["duals"]:
+            for blk in per_cut:
+                assert capped.model.variables[blk["mu1"]].ub == 0.0
+                capped.model.variables[blk["mu1"]].ub = derived_dual_bound(inst)
+        a = backend_solve_polished("highs", fixed.model).objective
+        b = backend_solve_polished("highs", capped.model).objective
+        assert a > 0.5
+        assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
 
 
 class TestHpp:

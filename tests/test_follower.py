@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from edgeprice.follower import (FollowerError, LeaderDecision, ModelVariant,
-                                cost_breakdown, enumerate_placements, follower_cost,
-                                solve_fixed_t_lp, solve_kkt_follower, solve_sp1)
+                                cost_breakdown, derived_dual_bound, enumerate_placements,
+                                follower_cost, solve_fixed_t_lp, solve_kkt_follower,
+                                solve_sp1)
 from edgeprice.instance import GenConfig, generate
 from conftest import make_manual_instance, rel_close
 
@@ -130,6 +131,17 @@ class TestFixedPlacementLp:
         assert res.status == "infeasible"
         assert res.dual_ray
         assert "budget" in res.reason
+
+
+class TestDerivedDualBound:
+    def test_price_floor_skips_a_zero_level(self):
+        # grid [0, 0.01] with p0 = 0.02: the money term divides by 0.01, the
+        # smallest positive price, not by p0
+        inst = make_manual_instance(K=1, p_grid=[[0.0, 0.01]] * 2, psi=[[1.0], [1.0]])
+        money = (1.0 + inst.p0 + inst.w[0] * 60.0) / 0.01
+        assert derived_dual_bound(inst) == pytest.approx(10.0 * (money + 1.0))
+        shifted = make_manual_instance(K=1, p_grid=[[0.01, 0.03]] * 2, psi=[[1.0], [1.0]])
+        assert derived_dual_bound(inst) == derived_dual_bound(shifted)
 
 
 class TestKktOracle:
