@@ -92,6 +92,7 @@ class MasterModel:
     cuts: list
     dims: tuple           # (I, J, K, V, H, L)
     variant: ModelVariant
+    tied: tuple           # the selector families ("r", "rs") flat pricing ties across nodes
 
 
 @dataclass
@@ -425,7 +426,8 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
     idx = {"z": z, "r": r, "rs": rs, "tp": tp, "xp": xp, "x0p": x0p, "yp": yp,
            "g0": g0, "duals": duals, "cut_rows": cut_rows}
     return MasterModel(model=m.finalize(), registry=registry, idx=idx,
-                       cuts=list(cuts), dims=(I, J, K, V, H, L), variant=variant)
+                       cuts=list(cuts), dims=(I, J, K, V, H, L), variant=variant,
+                       tied=(("r", "rs") if flat_storage else ("r",)) if flat else ())
 
 
 def _grid_index(grid, price, label):
@@ -435,16 +437,36 @@ def _grid_index(grid, price, label):
     raise BilevelError(f"{label}: {price} is not on the grid {grid}")
 
 
+def _master_leader(instance, bundle, vals, canonical=True):
+    """The leader decision a master point encodes.
+
+    A node the master closes (z_j = 0) serves no follower, and every block
+    projects to the same cut whatever its price, so the engine may park
+    its selectors anywhere.  With ``canonical``, such a row is reported at
+    the lowest level its bounds allow (the first, or the fixed price's),
+    unless flat pricing ties it to an open node's.
+    """
+    z = [int(round(vals[i])) for i in bundle.idx["z"]]
+    rows = {}
+    for family in ("r", "rs"):
+        free = canonical and not (family in bundle.tied and any(z))
+        rows[family] = []
+        for j, sel in enumerate(bundle.idx[family]):
+            row = [int(round(vals[i])) for i in sel]
+            if free and not z[j]:
+                low = next(v for v, i in enumerate(sel) if bundle.model.variables[i].ub > 0)
+                row = [int(v == low) for v in range(len(sel))]
+            rows[family].append(row)
+    return LeaderDecision.from_selectors(instance, z=z, **rows)
+
+
 def extract_master_solution(instance, bundle, result):
+    """The master's leader (closed nodes at canonical prices) and duplicated followers."""
     inst = instance
     I, J, K = inst.I, inst.J, inst.K
     vals = result.values
     idx = bundle.idx
-    leader = LeaderDecision.from_selectors(
-        inst,
-        r=[[int(round(vals[idx["r"][j][v]])) for v in range(inst.V)] for j in range(J)],
-        rs=[[int(round(vals[idx["rs"][j][h]])) for h in range(inst.H)] for j in range(J)],
-        z=[int(round(vals[idx["z"][j]])) for j in range(J)])
+    leader = _master_leader(inst, bundle, vals)
     sols = []
     for k in range(K):
         x = [[max(0.0, float(vals[idx["xp"][k][i][j]])) for j in range(J)] for i in range(I)]
@@ -486,18 +508,15 @@ def repair_dual_blocks(instance, bundle, result, config=None):
     from .follower import solve_fixed_t_lp
 
     inst = instance
-    I, J, K, V, H, L = bundle.dims
+    I, J, K, _, _, L = bundle.dims
     if L == 0:
         return result
     vals = result.values
     idx = bundle.idx
     model = bundle.model
     variant = bundle.variant
-    leader = LeaderDecision.from_selectors(
-        inst,
-        r=[[int(round(vals[idx["r"][j][v]])) for v in range(V)] for j in range(J)],
-        rs=[[int(round(vals[idx["rs"][j][h]])) for h in range(H)] for j in range(J)],
-        z=[int(round(vals[idx["z"][j]])) for j in range(J)])
+    # the master's own prices: its duals must satisfy the rows at them
+    leader = _master_leader(inst, bundle, vals, canonical=False)
 
     for li in range(L):
         cut = bundle.cuts[li]

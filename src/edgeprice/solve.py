@@ -10,6 +10,11 @@ Additional engines can be registered through ``backend_register``; an
 adapter only has to accept a MilpModel and return a SolveResult with the
 same status vocabulary and tolerance semantics.
 
+Both engines accept binaries within their integrality tolerance, so
+``solve_milp``, ``backend_solve`` and the adapters return uncertified
+incumbents.  Every engine is certified in one place,
+``backend_solve_polished`` (``solve_milp_certified``).
+
 The HiGHS adapter switches off two primal heuristics on every MILP:
 RINS and RENS, which each solve a sub-MIP of the model.  On the bilevel
 masters those sub-MIPs are nearly as hard as the master itself (on the
@@ -63,7 +68,6 @@ class SolverConfig:
     node_limit: int | None = None
     time_limit: float | None = None
     max_lp_iterations: int | None = None
-    branching: str = "lowest-index"
 
     def validate(self):
         if self.feas_tol <= 0 or self.int_tol <= 0 or self.mip_gap <= 0:
@@ -152,7 +156,10 @@ def solve_milp(model: MilpModel, config: SolverConfig | None = None) -> SolveRes
     """Best-first branch-and-bound on the binaries.
 
     Deterministic: lowest-index fractional binary is branched first and the
-    down-branch (fix to 0) is explored first among equal bounds.
+    down-branch (fix to 0) is explored first among equal bounds.  An
+    integral leaf (binaries within ``int_tol``) becomes the incumbent with
+    its binaries rounded and its LP value as the claim, uncertified: a
+    binary inside the tolerance can leak through a big-M row.
     """
     config = (config or SolverConfig()).validate()
     core = _ModelCore(model)
@@ -211,32 +218,14 @@ def solve_milp(model: MilpModel, config: SolverConfig | None = None) -> SolveRes
             best_open_bound = incumbent_internal
             break  # best-first: everything remaining is no better
 
-        frac = None
-        for idx in core.binaries:
-            v = sol.x[idx]
-            if abs(v - round(v)) > config.int_tol:
-                frac = idx
-                break
+        frac = next((idx for idx in core.binaries
+                     if abs(sol.x[idx] - round(sol.x[idx])) > config.int_tol), None)
         if frac is None:
-            # certify the pattern: re-solve with every binary fixed exactly,
-            # so the incumbent never leans on a binary sitting just inside
-            # the integrality tolerance (big-M rows leak badly otherwise)
-            exact_fixes = {idx: round(sol.x[idx]) for idx in core.binaries}
-            exact = lp_at(exact_fixes)
-            if exact.status == OPTIMAL and exact.obj < incumbent_internal - 1e-12:
-                incumbent_internal = exact.obj
-                x = exact.x.copy()
-                for idx in core.binaries:
-                    x[idx] = round(x[idx])
-                incumbent = x
-            leak = INF if exact.status != OPTIMAL else exact.obj - sol.obj
-            if leak <= 1e-9 * (1.0 + abs(sol.obj)):
-                continue  # node optimum certified, fathom
-            # the LP leaned on a near-integral binary; split the node on the
-            # lowest-index binary not yet fixed so the search stays exact
-            frac = next((idx for idx in core.binaries if idx not in fixes), None)
-            if frac is None:
-                continue  # fully fixed: exact.obj was the node optimum
+            # integral leaf; the pop test above guarantees it beats the incumbent
+            incumbent_internal = sol.obj
+            incumbent = sol.x.copy()
+            incumbent[core.binaries] = np.round(incumbent[core.binaries])
+            continue
 
         for val in (0, 1):  # down-branch first
             child_fixes = dict(fixes)
@@ -264,65 +253,59 @@ def solve_milp(model: MilpModel, config: SolverConfig | None = None) -> SolveRes
     return SolveResult(status, objective=obj, values=incumbent, duals=None, stats=stats)
 
 
-class PolishInfeasible(SolveError):
-    """The rounded binary pattern admits no feasible continuous completion."""
+# relative tolerance of the claim-versus-certificate test, and the number of
+# patterns the certify-or-exclude loop may exclude before it gives up
+CERT_RTOL = 1e-9
+MAX_EXCLUSIONS = 64
 
 
-def polish_binaries(model, result, config=None, lp_solver=None):
-    """Re-solve the LP with every binary fixed at its rounded value.
+def polish_binaries(model, values, lp_solver, config=None):
+    """Certify a binary pattern: re-solve the LP with every binary fixed.
 
-    MILP engines may leave binaries a hair inside their integrality
-    tolerance, which leaks through big-M constraints (slack <= u*M with
-    u = 1-1e-6 is almost free).  Fixing the binaries and re-solving the
-    continuous part yields exact linearization identities and a
-    certified objective for the chosen pattern.  The caller's model is
-    not modified: the LP gets its own variable list and shares only the
-    constraints and the objective.
+    The pattern is ``values`` at the model's binaries, rounded.  Returns
+    the LP's optimum with the binaries set exactly, or the LP's result if
+    it is not optimal (the pattern has no feasible completion).  The
+    caller's model is not modified: the LP gets its own variable list.
     """
-    config = (config or SolverConfig()).validate()
-    if result.values is None:
-        return result
     bins = model.binary_indices()
-    if not bins:
-        return result
-    pattern = {i: float(round(float(result.values[i]))) for i in bins}
+    pattern = {i: float(round(float(values[i]))) for i in bins}
     fixed = MilpModel(model.name, model.sense)
     fixed.variables = [VarDef(v.name, v.kind, pattern.get(i, v.lb), pattern.get(i, v.ub), v.tag)
                        for i, v in enumerate(model.variables)]
     fixed.constraints = model.constraints
     fixed.objective = model.objective
     fixed.objective_offset = model.objective_offset
-    lp = (lp_solver or solve_lp)(fixed.finalize(), config)
+    lp = lp_solver(fixed.finalize(), config)
     if lp.status != STATUS_OPTIMAL:
-        raise PolishInfeasible(f"polish LP ended {lp.status}")
+        return lp
     values = lp.values.copy()
     for i in bins:
         values[i] = pattern[i]
-    drift = abs(lp.objective - result.objective) / max(1.0, abs(lp.objective))
-    stats = dict(result.stats)
-    stats["polish_drift"] = drift
-    return SolveResult(result.status, objective=lp.objective, values=values,
-                       duals=None, stats=stats)
+    return SolveResult(STATUS_OPTIMAL, objective=lp.objective, values=values, stats=lp.stats)
 
 
-def _exclude_pattern(model, pattern):
-    """No-good row cutting off exactly one binary assignment."""
-    ones = [i for i, v in pattern.items() if v == 1]
-    coeffs = {i: (1.0 if v == 1 else -1.0) for i, v in pattern.items()}
-    model.add_constraint(coeffs, "<=", len(ones) - 1, name=f"nogood{len(model.constraints)}",
-                         family="nogood")
+def certificate_meets_claim(certified, claimed, sense):
+    """False when the certified objective is worse than the claimed one.
+
+    One-sided: a better certificate is a feasible point the engine
+    undervalued.  Worse by more than ``CERT_RTOL * (1 + |claimed|)`` means
+    the claim leaned on a binary inside the engine's integrality tolerance.
+    """
+    worse = certified - claimed if sense == "min" else claimed - certified
+    return worse <= CERT_RTOL * (1.0 + abs(claimed))
 
 
-def solve_milp_certified(adapter, model, config=None, max_exclusions=64):
-    """Exact MILP optimum through an engine with loose integrality.
+def solve_milp_certified(adapter, model, config=None):
+    """Exact MILP optimum through any engine: certify every pattern or exclude it.
 
-    Every candidate pattern is certified by an LP with the binaries fixed
-    exactly.  If the engine's claimed objective beats its own pattern's
-    certified value (it leaned on a fractionally-integral binary against a
-    big-M row), that pattern is excluded with a no-good cut and the solve
-    repeats; the incumbent certificate is returned once it matches the
-    claimed bound.  Engines with exact integral handling take the fast
-    path through a single certification.
+    The one place where engine answers are certified.  Each returned
+    pattern is certified by ``polish_binaries`` and the best certificate
+    kept.  The solve is optimal once the best certificate meets the
+    engine's current claim, which bounds every pattern not yet excluded;
+    otherwise the claimed pattern is excluded with a no-good row and the
+    engine solves again.  At an engine limit the best certificate is
+    returned with the limit status, after ``MAX_EXCLUSIONS`` exclusions
+    with ``gap-limit``; without a certificate the result has no values.
     """
     config = (config or SolverConfig()).validate()
     bins = model.binary_indices()
@@ -332,48 +315,44 @@ def solve_milp_certified(adapter, model, config=None, max_exclusions=64):
 
     work = model
     best = None
-    for round_no in range(max_exclusions + 1):
+    status = STATUS_GAP_LIMIT  # kept only if the exclusions run out
+    for _ in range(MAX_EXCLUSIONS + 1):
         res = adapter.solve_milp(work, config)
-        if res.status in (STATUS_UNBOUNDED,):
-            return res
         if res.status == STATUS_INFEASIBLE:
-            break  # no patterns left beyond the excluded ones
+            # nothing left beyond the excluded patterns, all of them certified
+            status = STATUS_OPTIMAL if best is not None else STATUS_INFEASIBLE
+            break
         if res.status not in (STATUS_OPTIMAL, STATUS_GAP_LIMIT, STATUS_TIME_LIMIT):
             return res
-        claimed = res.objective
-        try:
-            cert = polish_binaries(model, res, config, lp_solver=adapter.solve_lp)
-        except PolishInfeasible:
-            cert = None
-        if cert is not None and (best is None or
-                                 sense_mult * cert.objective < sense_mult * best.objective):
-            best = cert
+        if res.values is not None:
+            cert = polish_binaries(model, res.values, adapter.solve_lp, config)
+            if cert.status == STATUS_OPTIMAL and (
+                    best is None or sense_mult * cert.objective < sense_mult * best.objective):
+                best = cert
+                best.stats = dict(res.stats)
         if res.status != STATUS_OPTIMAL:
-            if best is None:
-                return res
-            best.status = res.status  # the optimality claim was never proven
-            return best
-        tol = 1e-9 * (1.0 + abs(claimed))
-        if cert is not None and sense_mult * (cert.objective - claimed) <= tol:
-            return cert  # claim certified: nothing can beat it
-        if best is not None and sense_mult * (best.objective - claimed) <= tol:
-            return best  # claimed bound of the reduced model meets the incumbent
+            status = res.status  # the claim was never proven
+            break
+        if best is not None and certificate_meets_claim(best.objective, res.objective,
+                                                        model.sense):
+            status = STATUS_OPTIMAL
+            break
+        # no-good row cutting off exactly this pattern
+        pattern = {i: int(round(res.values[i])) for i in bins}
         work = work.clone()
-        _exclude_pattern(work, {i: int(round(res.values[i])) for i in bins})
+        work.add_constraint({i: 1.0 if v else -1.0 for i, v in pattern.items()}, "<=",
+                            sum(pattern.values()) - 1, name=f"nogood{len(work.constraints)}",
+                            family="nogood")
         work.finalize()
     if best is None:
-        return SolveResult(STATUS_INFEASIBLE, stats={"exclusions": max_exclusions})
+        return SolveResult(status)
+    best.status = status
     return best
 
 
 def backend_solve_polished(name, model, config=None):
     """Backend dispatch returning exactly-certified integral solutions."""
-    adapter = get_backend(name)
-    if not model.binary_indices():
-        return adapter.solve_lp(model, config)
-    if getattr(adapter, "exact_integrality", False):
-        return backend_solve(name, model, config)
-    return solve_milp_certified(adapter, model, config)
+    return solve_milp_certified(get_backend(name), model, config)
 
 
 # -- pluggable backends ----------------------------------------------
@@ -383,7 +362,6 @@ class ReferenceBackend:
     """Adapter wrapping the built-in engine (identity adapter)."""
 
     name = "reference"
-    exact_integrality = True  # incumbents are certified with binaries fixed
 
     def solve_lp(self, model, config=None):
         return solve_lp(model, config)

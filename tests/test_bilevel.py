@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from edgeprice.bilevel import (BilevelError, Cut, Sp2Infeasible, build_master,
-                               linearization_audit, mp_size, platform_profit,
-                               repair_dual_blocks, run_algorithm1, solve_bruteforce,
-                               solve_hpp, solve_sp2, verify_bilevel_solution)
+                               extract_master_solution, linearization_audit, mp_size,
+                               platform_profit, repair_dual_blocks, run_algorithm1,
+                               solve_bruteforce, solve_hpp, solve_sp2, verify_bilevel_solution)
 from edgeprice.follower import (LeaderDecision, budget_cannot_bind, derived_dual_bound,
                                 solve_fixed_t_lp, solve_sp1)
 from edgeprice.instance import GenConfig, generate
 from edgeprice.model import Expr, MilpModel
-from edgeprice.solve import backend_solve_polished, solve_lp
+from edgeprice.solve import STATUS_OPTIMAL, SolveResult, backend_solve_polished, solve_lp
 from edgeprice.strategies import solve_scheme
 
 from conftest import make_manual_instance, rel_close, zero_demand_instance
@@ -394,6 +394,39 @@ class TestIncumbentSeed:
         assert res.leader.ps == pytest.approx([0.01] * inst.J)
         report = verify_bilevel_solution(inst, res.leader, res.solutions, backend="highs")
         assert report["ok"] and report["profit"] == 0.0
+
+
+class TestClosedNodePrices:
+    @staticmethod
+    def leader_from(inst, z, build_kwargs, level):
+        """The leader extracted from a master point with every selector at ``level``."""
+        bundle = build_master(inst, cuts=[], **build_kwargs)
+        vals = np.zeros(bundle.model.n_vars)
+        for j in range(inst.J):
+            vals[bundle.idx["z"][j]] = z[j]
+            vals[bundle.idx["r"][j][level]] = 1.0
+            vals[bundle.idx["rs"][j][level % inst.H]] = 1.0
+        res = SolveResult(STATUS_OPTIMAL, objective=0.0, values=vals)
+        return extract_master_solution(inst, bundle, res).leader
+
+    def test_closed_nodes_report_the_first_level(self):
+        inst = tiny_gen(45)
+        top = inst.V - 1
+        leader = self.leader_from(inst, [1, 0, 0], {}, top)
+        assert leader.p == [inst.p_grid[0][top], inst.p_grid[1][0], inst.p_grid[2][0]]
+        assert leader.ps == [inst.ps_grid[0][top % inst.H], inst.ps_grid[1][0],
+                             inst.ps_grid[2][0]]
+
+    def test_flat_and_fixed_prices_are_kept(self):
+        inst = tiny_gen(45)
+        top = inst.V - 1
+        # flat pricing ties a closed node to the open one; all closed, none is tied
+        flat = self.leader_from(inst, [1, 0, 0], {"flat": True}, top)
+        assert flat.p == [inst.p_grid[j][top] for j in range(inst.J)]
+        flat_off = self.leader_from(inst, [0, 0, 0], {"flat": True}, top)
+        assert flat_off.p == [inst.p_grid[j][0] for j in range(inst.J)]
+        fixed = self.leader_from(inst, [1, 0, 0], {"fixed_price": inst.p_grid[0][2]}, 2)
+        assert fixed.p == pytest.approx([inst.p_grid[0][2]] * inst.J)
 
 
 class TestBruteForceGuard:

@@ -11,7 +11,7 @@ from edgeprice.solve import (STATUS_GAP_LIMIT, STATUS_INFEASIBLE, STATUS_OPTIMAL
                              STATUS_TIME_LIMIT, STATUS_UNBOUNDED, SolveResult,
                              SolverConfig, backend_names, backend_register,
                              backend_solve, backend_solve_polished, get_backend,
-                             polish_binaries, solve_lp, solve_milp)
+                             polish_binaries, solve_lp, solve_milp, solve_milp_certified)
 
 
 def random_lp(rng, n=None, m=None):
@@ -268,19 +268,82 @@ class TestBackends:
         assert backend_solve("custom", m.finalize()).objective == pytest.approx(1.0)
 
     def test_polished_solutions_are_exactly_integral(self):
-        m = MilpModel("p", "max")
-        bs = [m.add_var(f"b{i}", "binary") for i in range(4)]
-        u = m.add_var("u", ub=100.0)
-        m.add_constraint({u: 1.0, bs[0]: -100.0}, "<=", 0.0)
-        m.add_constraint({b: 1.0 for b in bs}, "<=", 2.0)
-        m.set_objective({u: 1.0, bs[1]: 0.5})
-        m.finalize()
-        for name in ("reference", "highs"):
-            res = backend_solve_polished(name, m)
-            assert res.status == STATUS_OPTIMAL
-            for b in bs:
-                assert float(res.values[b]) in (0.0, 1.0)
-            assert res.objective == pytest.approx(100.5)
+        for m, expected in ((pattern_model(), 100.5), (leak_model(), 0.0)):
+            for name in ("reference", "highs"):
+                res = backend_solve_polished(name, m)
+                assert res.status == STATUS_OPTIMAL
+                for b in m.binary_indices():
+                    assert float(res.values[b]) in (0.0, 1.0)
+                assert res.objective == pytest.approx(expected, abs=1e-9)
+
+
+def pattern_model():
+    m = MilpModel("p", "max")
+    bs = [m.add_var(f"b{i}", "binary") for i in range(4)]
+    u = m.add_var("u", ub=100.0)
+    m.add_constraint({u: 1.0, bs[0]: -100.0}, "<=", 0.0)
+    m.add_constraint({b: 1.0 for b in bs}, "<=", 2.0)
+    m.set_objective({u: 1.0, bs[1]: 0.5})
+    return m.finalize()
+
+
+def leak_model():
+    """max u - 100b, u <= 1e8*b, u <= 10: the optimum is 0 at b = 0.
+
+    Its LP relaxation takes b = 1e-7, inside every engine's integrality
+    tolerance, and claims 10 - 1e-5 through the big-M row.
+    """
+    m = MilpModel("leak", "max")
+    b = m.add_var("b", "binary")
+    u = m.add_var("u", ub=10.0)
+    m.add_constraint({u: 1.0, b: -1e8}, "<=", 0.0)
+    m.set_objective({u: 1.0, b: -100.0})
+    return m.finalize()
+
+
+LEAKY_CLAIM = SolveResult(STATUS_OPTIMAL, objective=10.0 - 1e-5, values=np.array([1e-7, 10.0]))
+
+
+class ScriptedAdapter:
+    """Answers MILP solves from a script (its last answer repeats); LPs exactly."""
+
+    def __init__(self, *answers):
+        self.answers = list(answers)
+        self.milp_calls = 0
+
+    def solve_lp(self, model, config=None):
+        return solve_lp(model, config)
+
+    def solve_milp(self, model, config=None):
+        self.milp_calls += 1
+        return self.answers.pop(0) if len(self.answers) > 1 else self.answers[0]
+
+
+class TestCertifyOrExclude:
+    def test_certified_optimum_survives_a_worse_claim(self):
+        # round 1 claims the leaky point, whose pattern b = 0 certifies at 0;
+        # round 2 claims b = 1 exactly at -90, which the kept certificate meets
+        adapter = ScriptedAdapter(
+            LEAKY_CLAIM, SolveResult(STATUS_OPTIMAL, objective=-90.0, values=np.array([1.0, 10.0])))
+        res = solve_milp_certified(adapter, leak_model())
+        assert adapter.milp_calls == 2
+        assert res.status == STATUS_OPTIMAL
+        assert res.objective == pytest.approx(0.0, abs=1e-12)
+        assert res.values[0] == 0.0
+
+    def test_limit_without_values_after_an_exclusion(self):
+        adapter = ScriptedAdapter(LEAKY_CLAIM, SolveResult(STATUS_TIME_LIMIT))
+        res = solve_milp_certified(adapter, leak_model())
+        assert res.status == STATUS_TIME_LIMIT
+        assert res.objective == pytest.approx(0.0, abs=1e-12)
+        assert res.values[0] == 0.0
+
+    def test_exhausted_exclusions_claim_no_optimality(self):
+        adapter = ScriptedAdapter(LEAKY_CLAIM)
+        res = solve_milp_certified(adapter, leak_model())
+        assert res.status == STATUS_GAP_LIMIT
+        assert adapter.milp_calls == solve.MAX_EXCLUSIONS + 1
+        assert res.objective == pytest.approx(0.0, abs=1e-12)
 
 
 def knapsack():
@@ -326,9 +389,7 @@ class TestPolish:
                 [(1.0, 1.0), (0.0, 0.0), (1.0, 1.0)]
             return solve_lp(model, config)
 
-        claim = SolveResult(STATUS_OPTIMAL, objective=15.0,
-                            values=np.array([1.0 - 1e-7, 1e-7, 1.0, 15.0]))
-        res = polish_binaries(m, claim, lp_solver=lp_solver)
+        res = polish_binaries(m, np.array([1.0 - 1e-7, 1e-7, 1.0, 15.0]), lp_solver)
         assert res.objective == pytest.approx(15.0)
         assert list(res.values[:3]) == [1.0, 0.0, 1.0]
         assert m.dump_lp() == before
