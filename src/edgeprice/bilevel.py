@@ -26,11 +26,11 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .follower import (DEFAULT_VARIANT, LeaderDecision, ModelVariant,
+from .follower import (DEFAULT_VARIANT, LeaderDecision, ModelVariant, add_follower,
                        assemble_solution, budget_cannot_bind, derived_dual_bound,
-                       follower_cost, solve_sp1)
+                       follower_cost, read_follower, solve_sp1)
 from .model import (BINARY, BigMRegistry, Expr, MilpModel, ModelStats, link_bin_cont,
                     link_one_hot)
 from .solve import STATUS_OPTIMAL, SolverConfig, backend_solve_polished
@@ -606,8 +606,11 @@ def solve_hpp(instance, variant=DEFAULT_VARIANT, config=None, backend="reference
 # -- SP2: platform-favorable tie-break ----------------------------------
 
 
-def build_sp2(instance, leader, phis, variant=DEFAULT_VARIANT,
-              service_blocks_only=False, phi_cushion=1e-9):
+# relative cushion on each opt[k] row against solver roundoff in phi_k
+PHI_CUSHION = 1e-9
+
+
+def build_sp2(instance, leader, phis, variant=DEFAULT_VARIANT, service_blocks_only=False):
     """Re-optimize follower solutions in the platform's favor.
 
     Each service is constrained to achieve its own optimum (cost <= phi_k,
@@ -618,70 +621,18 @@ def build_sp2(instance, leader, phis, variant=DEFAULT_VARIANT,
     for the full bilevel problem.
     """
     inst = instance
-    I, J, K = inst.I, inst.J, inst.K
+    J, K = inst.J, inst.K
     m = MilpModel("sp2", "max")
     handles = []
     obj = Expr(constant=-sum(inst.f[j] * leader.z[j] for j in range(J)))
     for k in range(K):
-        t = [m.add_var(f"t[{j},{k}]", BINARY) for j in range(J)]
-        x = [[m.add_var(f"x[{i},{j},{k}]") for j in range(J)] for i in range(I)]
-        x0 = [m.add_var(f"x0[{i},{k}]") for i in range(I)]
-        q = [m.add_var(f"q[{i},{k}]") for i in range(I)]
-        y = [m.add_var(f"y[{j},{k}]", ub=inst.C[j]) for j in range(J)]
-        y0 = m.add_var(f"y0[{k}]")
-        handles.append({"t": t, "x": x, "x0": x0, "q": q, "y": y, "y0": y0})
-        w = inst.w[k]
-
-        cost = Expr({y0: inst.p0})
-        for j in range(J):
-            cost.add(y[j], leader.p[j])
-            if variant.placement_in_follower:
-                cost.add(t[j], leader.placement_price(inst, k, j))
-        for i in range(I):
-            cost.add(q[i], inst.psi[i][k])
-            cost.add(x0[i], w * inst.d0[i])
-            for j in range(J):
-                cost.add(x[i][j], w * inst.d[i][j])
-
-        budget = Expr({y0: inst.p0})
-        for j in range(J):
-            budget.add(y[j], leader.p[j])
-            if variant.placement_in_follower:
-                budget.add(t[j], leader.placement_price(inst, k, j))
-        m.add_constraint(budget, "<=", inst.B[k], name=f"budget[{k}]", family="sp2_budget")
-        for j in range(J):
-            m.add_constraint({t[j]: 1.0}, "<=", leader.z[j], name=f"act[{j},{k}]",
-                             family="sp2_act")
-        for j in range(J):
-            m.add_constraint({y[j]: 1.0, t[j]: -inst.C[j]}, "<=", 0.0,
-                             name=f"cap[{j},{k}]", family="sp2_cap")
-        m.add_constraint(Expr({x0[i]: 1.0 for i in range(I)}).add(y0, -1.0), "<=", 0.0,
-                         name=f"cloud[{k}]", family="sp2_cloud")
-        for j in range(J):
-            m.add_constraint(Expr({x[i][j]: 1.0 for i in range(I)}).add(y[j], -1.0),
-                             "<=", 0.0, name=f"edge[{j},{k}]", family="sp2_edge")
-        for i in range(I):
-            flow = Expr({x0[i]: 1.0, q[i]: 1.0})
-            for j in range(J):
-                flow.add(x[i][j], 1.0)
-            m.add_constraint(flow, "==", inst.R[i][k], name=f"flow[{i},{k}]",
-                             family="sp2_flow")
-        for i in range(I):
-            delay = Expr({x0[i]: inst.d0[i]})
-            for j in range(J):
-                delay.add(x[i][j], inst.d[i][j])
-            m.add_constraint(delay, "<=", inst.Dmax[k] * inst.R[i][k],
-                             name=f"delay[{i},{k}]", family="sp2_delay")
-        for i in range(I):
-            for j in range(J):
-                m.add_constraint({x[i][j]: 1.0}, "<=", inst.a[i][j][k] * inst.R[i][k],
-                                 name=f"elig[{i},{j},{k}]", family="sp2_elig")
-        m.add_constraint(cost, "<=", phis[k] + phi_cushion * (1.0 + abs(phis[k])),
+        h, cost = add_follower(m, inst, k, leader, variant)
+        handles.append(h)
+        m.add_constraint(cost, "<=", phis[k] + PHI_CUSHION * (1.0 + abs(phis[k])),
                          name=f"opt[{k}]", family="sp2_optimal")
-
         for j in range(J):
-            obj.add(y[j], leader.p[j] - inst.c[j] / inst.C[j])
-            obj.add(t[j], leader.placement_price(inst, k, j))
+            obj.add(h["y"][j], leader.p[j] - inst.c[j] / inst.C[j])
+            obj.add(h["t"][j], leader.placement_price(inst, k, j))
 
     if not service_blocks_only:
         # platform capacity across services, so the tie-break stays
@@ -701,27 +652,15 @@ def build_sp2(instance, leader, phis, variant=DEFAULT_VARIANT,
 def solve_sp2(instance, leader, phis, variant=DEFAULT_VARIANT, config=None,
               backend="reference"):
     """Returns (per-service FollowerSolution list, Theta_o)."""
-    inst = instance
-    model, handles = build_sp2(inst, leader, phis, variant)
+    model, handles = build_sp2(instance, leader, phis, variant)
     res = backend_solve_polished(backend, model, config)
     if res.status == "infeasible":
         raise Sp2Infeasible(
             f"no platform-feasible selection of follower optima (phis: {phis})")
     if res.status != STATUS_OPTIMAL:
         raise BilevelError(f"platform tie-break subproblem ended {res.status}")
-    I, J, K = inst.I, inst.J, inst.K
-    sols = []
-    for k in range(K):
-        h = handles[k]
-        vals = res.values
-        sols.append(assemble_solution(
-            inst, k, leader,
-            x=[[max(0.0, float(vals[h["x"][i][j]])) for j in range(J)] for i in range(I)],
-            x0=[max(0.0, float(vals[h["x0"][i]])) for i in range(I)],
-            q=[max(0.0, float(vals[h["q"][i]])) for i in range(I)],
-            y=[max(0.0, float(vals[h["y"][j]])) for j in range(J)],
-            y0=max(0.0, float(vals[h["y0"]])),
-            t=[int(round(vals[h["t"][j]])) for j in range(J)]))
+    sols = [read_follower(instance, k, leader, handles[k], res.values)
+            for k in range(instance.K)]
     return sols, float(res.objective)
 
 
@@ -874,7 +813,7 @@ def solve_bruteforce(instance, variant=DEFAULT_VARIANT, config=None,
     bundle = build_master(inst, cuts, variant=variant)
     cfg = config or SolverConfig()
     if time_limit is not None:
-        cfg = SolverConfig(**{**cfg.__dict__, "time_limit": time_limit})
+        cfg = replace(cfg, time_limit=time_limit)
     res = _solve_master(inst, bundle, cfg, backend)
     if res.status == "time-limit":
         return None, "NA"

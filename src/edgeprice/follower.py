@@ -19,13 +19,25 @@ Three interchangeable routes to the same optimum live here:
 
 The enumeration over placements (``enumerate_placements``) provides the
 independent oracle used by the tests.
+
+One layout serves SP1, SP2 and the fixed-placement LP: ``add_follower``
+adds a service's variables and rows to a model and ``read_follower``
+reads its solution back.  SP1 is one call (``build_follower_milp``), SP2
+one per service (``bilevel.build_sp2``), and the fixed-placement LP is
+the SP1 model with t fixed by ``polish_binaries``, whose duals are read
+from the rows ``add_follower`` returns.  The KKT model and the master's
+follower copies write their own rows: the first through complementarity
+pairs, the second with the substitutions the master's size formula
+counts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
+
+import numpy as np
 
 from .model import BINARY, BigMRegistry, Expr, MilpModel
 from .solve import (STATUS_INFEASIBLE, STATUS_OPTIMAL, SolveError, SolverConfig,
@@ -227,77 +239,89 @@ def _placement_cost(instance, k, leader, j, variant):
     return leader.placement_price(instance, k, j) if variant.placement_in_follower else 0.0
 
 
-def build_follower_milp(instance, k, leader, variant=DEFAULT_VARIANT, name=None):
-    """The follower MILP for service k under a fixed leader decision."""
-    leader.validate(instance)
-    I, J = instance.I, instance.J
-    m = MilpModel(name or f"follower[{k}]", "min")
-    t = [m.add_var(f"t[{j}]", BINARY, tag=f"t[{j},{k}]") for j in range(J)]
-    x = [[m.add_var(f"x[{i},{j}]", tag=f"x[{i},{j},{k}]") for j in range(J)] for i in range(I)]
-    x0 = [m.add_var(f"x0[{i}]", tag=f"x0[{i},{k}]") for i in range(I)]
-    q = [m.add_var(f"q[{i}]", tag=f"q[{i},{k}]") for i in range(I)]
-    y = [m.add_var(f"y[{j}]", ub=instance.C[j], tag=f"y[{j},{k}]") for j in range(J)]
-    y0 = m.add_var("y0", tag=f"y0[{k}]")
+def add_follower(m, instance, k, leader, variant=DEFAULT_VARIANT):
+    """Add service k's variables and rows to ``m``; returns (handles, cost).
 
-    obj = Expr()
-    obj.add(y0, instance.p0)
+    ``handles`` maps t, x, x0, q, y and y0 to their variable indices and
+    ``handles["rows"]`` each row family to its row indices; ``cost`` is
+    the follower's objective as an Expr.  y has no upper bound of its
+    own: the row y_j <= C_j t_j caps it, and a bound at C_j would take the
+    capacity multiplier from that row in the fixed-placement LP.
+    """
+    I, J = instance.I, instance.J
+    t = [m.add_var(f"t[{j},{k}]", BINARY) for j in range(J)]
+    x = [[m.add_var(f"x[{i},{j},{k}]") for j in range(J)] for i in range(I)]
+    x0 = [m.add_var(f"x0[{i},{k}]") for i in range(I)]
+    q = [m.add_var(f"q[{i},{k}]") for i in range(I)]
+    y = [m.add_var(f"y[{j},{k}]") for j in range(J)]
+    y0 = m.add_var(f"y0[{k}]")
+
+    payment = Expr({y0: instance.p0})
     for j in range(J):
-        obj.add(y[j], leader.p[j])
-        obj.add(t[j], _placement_cost(instance, k, leader, j, variant))
+        payment.add(y[j], leader.p[j])
+        payment.add(t[j], _placement_cost(instance, k, leader, j, variant))
+    cost = Expr().add_expr(payment)
     w = instance.w[k]
     for i in range(I):
-        obj.add(q[i], instance.psi[i][k])
-        obj.add(x0[i], w * instance.d0[i])
+        cost.add(q[i], instance.psi[i][k])
+        cost.add(x0[i], w * instance.d0[i])
         for j in range(J):
-            obj.add(x[i][j], w * instance.d[i][j])
-    m.set_objective(obj)
+            cost.add(x[i][j], w * instance.d[i][j])
 
-    budget = Expr()
-    budget.add(y0, instance.p0)
-    for j in range(J):
-        budget.add(y[j], leader.p[j])
-        budget.add(t[j], _placement_cost(instance, k, leader, j, variant))
-    m.add_constraint(budget, "<=", instance.B[k], name="budget", family="budget")
-    for j in range(J):
-        m.add_constraint({t[j]: 1.0}, "<=", leader.z[j], name=f"act[{j}]", family="activation")
-    for j in range(J):
-        m.add_constraint({y[j]: 1.0, t[j]: -instance.C[j]}, "<=", 0.0,
-                         name=f"cap[{j}]", family="placement_capacity")
-    m.add_constraint(Expr({x0[i]: 1.0 for i in range(I)}).add(y0, -1.0), "<=", 0.0,
-                     name="cloud", family="cloud_coupling")
-    for j in range(J):
-        m.add_constraint(Expr({x[i][j]: 1.0 for i in range(I)}).add(y[j], -1.0), "<=", 0.0,
-                         name=f"edge[{j}]", family="edge_coupling")
+    rows = {"budget": m.add_constraint(payment, "<=", instance.B[k], name=f"budget[{k}]",
+                                       family="budget")}
+    rows["activation"] = [m.add_constraint({t[j]: 1.0}, "<=", leader.z[j], name=f"act[{j},{k}]",
+                                           family="activation") for j in range(J)]
+    rows["capacity"] = [m.add_constraint({y[j]: 1.0, t[j]: -instance.C[j]}, "<=", 0.0,
+                                         name=f"cap[{j},{k}]", family="placement_capacity")
+                        for j in range(J)]
+    rows["cloud"] = m.add_constraint(Expr({x0[i]: 1.0 for i in range(I)}).add(y0, -1.0), "<=",
+                                     0.0, name=f"cloud[{k}]", family="cloud_coupling")
+    rows["edge"] = [m.add_constraint(Expr({x[i][j]: 1.0 for i in range(I)}).add(y[j], -1.0),
+                                     "<=", 0.0, name=f"edge[{j},{k}]", family="edge_coupling")
+                    for j in range(J)]
+    rows["flow"] = []
     for i in range(I):
         flow = Expr({x0[i]: 1.0, q[i]: 1.0})
         for j in range(J):
             flow.add(x[i][j], 1.0)
-        m.add_constraint(flow, "==", instance.R[i][k], name=f"flow[{i}]", family="flow")
+        rows["flow"].append(m.add_constraint(flow, "==", instance.R[i][k],
+                                             name=f"flow[{i},{k}]", family="flow"))
+    rows["delay"] = []
     for i in range(I):
         delay = Expr({x0[i]: instance.d0[i]})
         for j in range(J):
             delay.add(x[i][j], instance.d[i][j])
-        m.add_constraint(delay, "<=", instance.Dmax[k] * instance.R[i][k],
-                         name=f"delay[{i}]", family="delay")
-    for i in range(I):
-        for j in range(J):
-            m.add_constraint({x[i][j]: 1.0}, "<=",
-                             instance.a[i][j][k] * instance.R[i][k],
-                             name=f"elig[{i},{j}]", family="eligibility")
-    return m.finalize()
+        rows["delay"].append(m.add_constraint(delay, "<=", instance.Dmax[k] * instance.R[i][k],
+                                              name=f"delay[{i},{k}]", family="delay"))
+    rows["eligibility"] = [[m.add_constraint({x[i][j]: 1.0}, "<=",
+                                             instance.a[i][j][k] * instance.R[i][k],
+                                             name=f"elig[{i},{j},{k}]", family="eligibility")
+                            for j in range(J)] for i in range(I)]
+    handles = {"t": t, "x": x, "x0": x0, "q": q, "y": y, "y0": y0, "rows": rows}
+    return handles, cost
 
 
-def extract_follower_solution(instance, k, leader, model, values,
-                              variant=DEFAULT_VARIANT, t_fixed=None):
-    I, J = instance.I, instance.J
-    get = lambda tag: float(values[model.index_of_tag(tag)])
-    t = t_fixed if t_fixed is not None else [int(round(get(f"t[{j},{k}]"))) for j in range(J)]
-    x = [[max(0.0, get(f"x[{i},{j},{k}]")) for j in range(J)] for i in range(I)]
-    x0 = [max(0.0, get(f"x0[{i},{k}]")) for i in range(I)]
-    q = [max(0.0, get(f"q[{i},{k}]")) for i in range(I)]
-    y = [max(0.0, get(f"y[{j},{k}]")) for j in range(J)]
-    y0 = max(0.0, get(f"y0[{k}]"))
-    return assemble_solution(instance, k, leader, x, x0, q, y, y0, t)
+def build_follower_milp(instance, k, leader, variant=DEFAULT_VARIANT):
+    """The follower MILP for service k under a fixed leader decision; returns (model, handles)."""
+    leader.validate(instance)
+    m = MilpModel(f"follower[{k}]", "min")
+    handles, cost = add_follower(m, instance, k, leader, variant)
+    m.set_objective(cost)
+    return m.finalize(), handles
+
+
+def read_follower(instance, k, leader, handles, values):
+    """Service k's FollowerSolution at a point of a model built by ``add_follower``."""
+    get = lambda idx: max(0.0, float(values[idx]))
+    return assemble_solution(
+        instance, k, leader,
+        x=[[get(v) for v in row] for row in handles["x"]],
+        x0=[get(v) for v in handles["x0"]],
+        q=[get(v) for v in handles["q"]],
+        y=[get(v) for v in handles["y"]],
+        y0=get(handles["y0"]),
+        t=[int(round(float(values[v]))) for v in handles["t"]])
 
 
 def assemble_solution(instance, k, leader, x, x0, q, y, y0, t):
@@ -349,95 +373,43 @@ class FixedPlacementResult:
 
 def solve_fixed_t_lp(instance, k, leader, t, variant=DEFAULT_VARIANT,
                      config=None, backend="reference"):
-    """LP over (x, q, y) for a fixed placement vector, with exact duals."""
+    """The follower MILP with the placement fixed at t, solved as an LP with exact duals."""
     leader.validate(instance)
-    I, J = instance.I, instance.J
+    J = instance.J
     t = [int(v) for v in t]
     for j in range(J):
         if t[j] > leader.z[j]:
             return FixedPlacementResult(STATUS_INFEASIBLE, dual_ray=True,
                                         reason=f"t[{j}]=1 at inactive EN {j}")
     placement = sum(_placement_cost(instance, k, leader, j, variant) * t[j] for j in range(J))
-    residual_budget = instance.B[k] - placement
-    if residual_budget < -1e-12:
+    if instance.B[k] - placement < -1e-12:
         return FixedPlacementResult(STATUS_INFEASIBLE, dual_ray=True,
                                     reason=f"placement cost {placement:.6g} exceeds budget {instance.B[k]:.6g}")
 
-    m = MilpModel(f"fixed_t[{k}]", "min")
-    x = [[m.add_var(f"x[{i},{j}]") for j in range(J)] for i in range(I)]
-    x0 = [m.add_var(f"x0[{i}]") for i in range(I)]
-    q = [m.add_var(f"q[{i}]") for i in range(I)]
-    y = [m.add_var(f"y[{j}]") for j in range(J)]
-    y0 = m.add_var("y0")
-
-    w = instance.w[k]
-    obj = Expr({y0: instance.p0})
-    for j in range(J):
-        obj.add(y[j], leader.p[j])
-    for i in range(I):
-        obj.add(q[i], instance.psi[i][k])
-        obj.add(x0[i], w * instance.d0[i])
-        for j in range(J):
-            obj.add(x[i][j], w * instance.d[i][j])
-    m.set_objective(obj)
-
-    rows = {}
-    budget = Expr({y0: instance.p0})
-    for j in range(J):
-        budget.add(y[j], leader.p[j])
-    rows["budget"] = m.add_constraint(budget, "<=", residual_budget, name="budget")
-    rows["mu2"] = m.add_constraint(Expr({x0[i]: 1.0 for i in range(I)}).add(y0, -1.0),
-                                   "<=", 0.0, name="cloud")
-    rows["Gamma"] = [m.add_constraint(Expr({x[i][j]: 1.0 for i in range(I)}).add(y[j], -1.0),
-                                      "<=", 0.0, name=f"edge[{j}]") for j in range(J)]
-    rows["sigma"] = [m.add_constraint({y[j]: 1.0}, "<=", instance.C[j] * t[j],
-                                      name=f"cap[{j}]") for j in range(J)]
-    rows["xi"] = []
-    for i in range(I):
-        delay = Expr({x0[i]: instance.d0[i]})
-        for j in range(J):
-            delay.add(x[i][j], instance.d[i][j])
-        rows["xi"].append(m.add_constraint(delay, "<=", instance.Dmax[k] * instance.R[i][k],
-                                           name=f"delay[{i}]"))
-    rows["eta"] = []
-    for i in range(I):
-        flow = Expr({x0[i]: 1.0, q[i]: 1.0})
-        for j in range(J):
-            flow.add(x[i][j], 1.0)
-        rows["eta"].append(m.add_constraint(flow, "==", instance.R[i][k], name=f"flow[{i}]"))
-    rows["tau"] = [[m.add_constraint({x[i][j]: 1.0}, "<=",
-                                     instance.a[i][j][k] * instance.R[i][k],
-                                     name=f"elig[{i},{j}]")
-                    for j in range(J)] for i in range(I)]
-    m.finalize()
-
-    res = backend_solve(backend, m, config)
+    model, h = build_follower_milp(instance, k, leader, variant)
+    pattern = {h["t"][j]: t[j] for j in range(J)}
+    res = polish_binaries(model, pattern, get_backend(backend).solve_lp, config)
     if res.status == STATUS_INFEASIBLE:
         return FixedPlacementResult(STATUS_INFEASIBLE, dual_ray=True, reason="LP infeasible")
     if res.status != STATUS_OPTIMAL:
         raise SolveError(f"fixed-t LP ended with status {res.status}")
 
-    yrow = res.duals
+    # sensitivity duals of a minimization: <= rows are nonpositive
+    rows, duals = h["rows"], res.duals
+    neg = lambda r: -float(duals[r])
     dual = DualSolution(
-        mu1=-float(yrow[rows["budget"]]),
-        mu2=-float(yrow[rows["mu2"]]),
+        mu1=neg(rows["budget"]),
+        mu2=neg(rows["cloud"]),
         nu=[0.0] * J,
-        Gamma=[-float(yrow[r]) for r in rows["Gamma"]],
-        sigma=[-float(yrow[r]) for r in rows["sigma"]],
-        xi=[-float(yrow[r]) for r in rows["xi"]],
-        eta=[float(yrow[r]) for r in rows["eta"]],
-        tau=[[-float(yrow[rows["tau"][i][j]]) for j in range(J)] for i in range(I)],
+        Gamma=[neg(r) for r in rows["edge"]],
+        sigma=[neg(r) for r in rows["capacity"]],
+        xi=[neg(r) for r in rows["delay"]],
+        eta=[float(duals[r]) for r in rows["flow"]],
+        tau=[[neg(r) for r in row] for row in rows["eligibility"]],
     )
-    vals = res.values
-    sol = assemble_solution(
-        instance, k, leader,
-        x=[[float(vals[x[i][j]]) for j in range(J)] for i in range(I)],
-        x0=[float(vals[x0[i]]) for i in range(I)],
-        q=[float(vals[q[i]]) for i in range(I)],
-        y=[float(vals[y[j]]) for j in range(J)],
-        y0=float(vals[y0]), t=t)
-    lp_value = float(res.objective)
-    total = lp_value + (placement if variant.placement_in_follower else 0.0)
+    sol = read_follower(instance, k, leader, h, res.values)
+    total = float(res.objective)
+    lp_value = total - placement
 
     dual_obj = dual.objective(instance, k, leader, t, variant)
     scale = 1.0 + abs(lp_value)
@@ -467,11 +439,11 @@ def enumerate_placements(instance, k, leader, variant=DEFAULT_VARIANT,
 def solve_sp1(instance, k, leader, variant=DEFAULT_VARIANT,
               config=None, backend="reference"):
     """Exact follower optimum; returns (FollowerSolution, phi)."""
-    model = build_follower_milp(instance, k, leader, variant)
+    model, handles = build_follower_milp(instance, k, leader, variant)
     res = backend_solve_polished(backend, model, config)
     if res.status != STATUS_OPTIMAL:
         raise SolveError(f"SP1[{k}] ended with status {res.status} (must be feasible)")
-    sol = extract_follower_solution(instance, k, leader, model, res.values, variant)
+    sol = read_follower(instance, k, leader, handles, res.values)
     sol.validate(instance, k, leader, variant, tol=1e-5)
     return sol, float(res.objective)
 
@@ -703,11 +675,9 @@ def solve_kkt_follower(instance, k, leader, variant=DEFAULT_VARIANT,
     integrality slack, which on complementarity models routinely yields
     switch patterns with no exact completion.
     """
-    import numpy as np
-
     km = build_kkt_follower(instance, k, leader, variant, registry=registry)
     cfg = config or SolverConfig()
-    cfg = SolverConfig(**{**cfg.__dict__, "int_tol": min(cfg.int_tol, 1e-8)})
+    cfg = replace(cfg, int_tol=min(cfg.int_tol, 1e-8))
     res = backend_solve(backend, km.model, cfg)
     if res.status != STATUS_OPTIMAL:
         raise SolveError(f"KKT follower model ended with status {res.status}")

@@ -173,9 +173,6 @@ class MilpModel:
     def n_constraints(self):
         return len(self.constraints)
 
-    def index_of_tag(self, tag):
-        return self._by_tag[tag]
-
     def binary_indices(self):
         return [i for i, v in enumerate(self.variables) if v.kind == BINARY]
 
@@ -371,8 +368,3 @@ def link_one_hot(model, Us, u, bs, family="link_one_hot", registry=None):
     if registry is not None:
         registry.links.extend((U, u, b) for U, b in zip(Us, bs))
     return Us
-
-
-def model_stats(model):
-    """Exact (n_constraints, n_continuous, n_binary) counts."""
-    return model.stats()

@@ -26,7 +26,8 @@ it off too saves a little more on masters but made the follower KKT
 MILPs about 2.7x slower.  Incumbents do not depend on any heuristic,
 since every pattern is re-certified (``solve_milp_certified``).
 
-Dual values are reported for pure LP solves only, with the sensitivity
+Dual values are reported for LP solves only (a certified MILP result
+carries those of the LP with its binaries fixed), with the sensitivity
 convention dObj/d(rhs): for a minimization, duals of ``<=`` rows are
 nonpositive; for a maximization the signs flip (the dual of ``x <= 3``
 in ``max x`` is +1).
@@ -263,9 +264,10 @@ def polish_binaries(model, values, lp_solver, config=None):
     """Certify a binary pattern: re-solve the LP with every binary fixed.
 
     The pattern is ``values`` at the model's binaries, rounded.  Returns
-    the LP's optimum with the binaries set exactly, or the LP's result if
-    it is not optimal (the pattern has no feasible completion).  The
-    caller's model is not modified: the LP gets its own variable list.
+    the LP's optimum, with its duals and with the binaries set exactly, or
+    the LP's result if it is not optimal (the pattern has no feasible
+    completion).  The caller's model is not modified: the LP gets its own
+    variable list.
     """
     bins = model.binary_indices()
     pattern = {i: float(round(float(values[i]))) for i in bins}
@@ -281,7 +283,8 @@ def polish_binaries(model, values, lp_solver, config=None):
     values = lp.values.copy()
     for i in bins:
         values[i] = pattern[i]
-    return SolveResult(STATUS_OPTIMAL, objective=lp.objective, values=values, stats=lp.stats)
+    return SolveResult(STATUS_OPTIMAL, objective=lp.objective, values=values, duals=lp.duals,
+                       stats=lp.stats)
 
 
 def certificate_meets_claim(certified, claimed, sense):

@@ -232,7 +232,7 @@ def audit_sizes(I, J, K, V, H, L, instance=None):
     mp_bundle = build_master(inst, cuts)
     compare("MP", mp_bundle.model.stats(), mp_size(I, J, K, V, H, L),
             mp_bundle.model.family_counts())
-    sp1_model = build_follower_milp(inst, 0, leader)
+    sp1_model, _ = build_follower_milp(inst, 0, leader)
     compare("SP1", sp1_model.stats(), sp1_size(I, J), sp1_model.family_counts())
     sp2_model, _ = build_sp2(inst, leader, [inst.all_drop_cost(k) for k in range(K)],
                              service_blocks_only=True)

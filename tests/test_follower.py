@@ -100,12 +100,15 @@ class TestEnumerationOracle:
 
 
 class TestFixedPlacementLp:
-    def test_strong_duality(self, small_instance):
+    @pytest.mark.parametrize("placement", [True, False], ids=["placement", "no_placement"])
+    @pytest.mark.parametrize("backend", ["reference", "highs"])
+    def test_strong_duality(self, small_instance, backend, placement):
+        variant = ModelVariant(placement_in_follower=placement)
         leader = mid_leader(small_instance)
         for t in itertools.product((0, 1), repeat=small_instance.J):
-            res = solve_fixed_t_lp(small_instance, 0, leader, list(t))
+            res = solve_fixed_t_lp(small_instance, 0, leader, list(t), variant, backend=backend)
             assert res.status == "optimal"
-            dual_obj = res.dual.objective(small_instance, 0, leader, list(t))
+            dual_obj = res.dual.objective(small_instance, 0, leader, list(t), variant)
             assert abs(dual_obj - res.lp_value) <= 1e-7 * (1 + abs(res.lp_value))
             assert res.dual.max_infeasibility(small_instance, 0, leader) <= 1e-7
 

@@ -3,8 +3,7 @@ import math
 
 import pytest
 
-from edgeprice.model import (BigMRegistry, MilpModel, ModelError, link_bin_cont,
-                             link_one_hot, model_stats)
+from edgeprice.model import BigMRegistry, MilpModel, ModelError, link_bin_cont, link_one_hot
 from edgeprice.solve import solve_lp
 
 
@@ -140,7 +139,7 @@ class TestLinkOneHot:
 class TestModelStats:
     def test_empty(self):
         m = MilpModel()
-        assert model_stats(m.finalize()).as_tuple() == (0, 0, 0)
+        assert m.finalize().stats().as_tuple() == (0, 0, 0)
 
     def test_counts_by_kind(self):
         m = MilpModel()
@@ -148,7 +147,7 @@ class TestModelStats:
         x = m.add_var("x")
         m.add_constraint({x: 1.0}, "<=", 1.0)
         m.add_constraint({x: 1.0}, ">=", 0.0)
-        st = model_stats(m.finalize())
+        st = m.finalize().stats()
         assert st.as_tuple() == (2, 1, 1)
 
 
