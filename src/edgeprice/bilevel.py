@@ -125,9 +125,13 @@ class AlgorithmState:
     def gap(self):
         return relative_gap(self.UB, self.LB)
 
-    def record(self, wall):
+    def record(self, wall, master_stats):
+        """One trace row; the master's HiGHS or branch-and-bound node count
+        and engine time come from its certified result's ``stats``."""
         self.trace.append({"iteration": self.iteration, "UB": self.UB, "LB": self.LB,
-                           "gap": self.gap, "wall_time": wall})
+                           "gap": self.gap, "wall_time": wall,
+                           "master_nodes": master_stats.get("nodes"),
+                           "master_s": master_stats.get("wall_time")})
 
 
 def relative_gap(ub, lb):
@@ -504,6 +508,11 @@ def repair_dual_blocks(instance, bundle, result, config=None):
     minimal escape certificate along the dual ray when it is not.  The
     full model is re-verified afterwards; the objective cannot move
     because certificate variables never appear in it.
+
+    The placement LPs are solved by the built-in engine whatever the
+    master's backend, on purpose: they are follower-sized, and the
+    repaired blocks then do not depend on the engine that solved the
+    master.
     """
     from .follower import solve_fixed_t_lp
 
@@ -735,7 +744,7 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
 
         if relative_gap(state.UB, state.LB) <= epsilon:
             state.status = "gap-closed"
-            state.record(time.perf_counter() - t_start)
+            state.record(time.perf_counter() - t_start, res.stats)
             break
 
         leader = master.leader
@@ -769,7 +778,7 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
                 state.LB = theta_o
                 state.incumbent_leader = leader
                 state.incumbent_solutions = sols
-        state.record(time.perf_counter() - t_start)
+        state.record(time.perf_counter() - t_start, res.stats)
         if on_iteration is not None:
             on_iteration(state)
 

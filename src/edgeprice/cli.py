@@ -96,7 +96,8 @@ def cmd_solve(args):
 
     trace_path = os.path.join(args.out, "trace.csv")
     with open(trace_path, "w", newline="") as fh:
-        wr = csv.DictWriter(fh, fieldnames=("iteration", "UB", "LB", "gap", "wall_time"))
+        wr = csv.DictWriter(fh, fieldnames=("iteration", "UB", "LB", "gap", "wall_time",
+                                            "master_nodes", "master_s"))
         wr.writeheader()
         for row in state.trace:
             wr.writerow(row)

@@ -21,10 +21,14 @@ masters those sub-MIPs are nearly as hard as the master itself (on the
 seed-113 full-enumeration master they spent 7,786 of 9,302 LP
 iterations).  Replaying the 17 masters of one oracle + base bench pass,
 HiGHS took 15.7 s with the defaults and 7.0 s without them, at objectives
-equal within 5e-13.  The root reduced-cost heuristic stays on: switching
-it off too saves a little more on masters but made the follower KKT
-MILPs about 2.7x slower.  Incumbents do not depend on any heuristic,
-since every pattern is re-certified (``solve_milp_certified``).
+equal within 5e-13.  The third sub-MIP heuristic, root reduced cost, is
+off unless ``SolverConfig.root_reduced_cost`` is set, which only the
+follower KKT solve does.  Replaying the 18 HiGHS MILPs of one oracle +
+base pass (masters, SP1, SP2) took 4.70 s with it and 3.22 s without, at
+objectives equal to 10 significant digits; the 10 KKT MILPs of the
+follower deck took 0.52 s with it and 1.52 s without.  Incumbents do
+not depend on any heuristic, since every pattern is re-certified
+(``solve_milp_certified``).
 
 Dual values are reported for LP solves only (a certified MILP result
 carries those of the LP with its binaries fixed), with the sensitivity
@@ -69,6 +73,8 @@ class SolverConfig:
     node_limit: int | None = None
     time_limit: float | None = None
     max_lp_iterations: int | None = None
+    # HiGHS's root reduced-cost heuristic (see module docstring)
+    root_reduced_cost: bool = False
 
     def validate(self):
         if self.feas_tol <= 0 or self.int_tol <= 0 or self.mip_gap <= 0:
@@ -160,7 +166,8 @@ def solve_milp(model: MilpModel, config: SolverConfig | None = None) -> SolveRes
     down-branch (fix to 0) is explored first among equal bounds.  An
     integral leaf (binaries within ``int_tol``) becomes the incumbent with
     its binaries rounded and its LP value as the claim, uncertified: a
-    binary inside the tolerance can leak through a big-M row.
+    binary inside the tolerance can leak through a big-M row.  The engine
+    has no primal heuristics, so it ignores ``config.root_reduced_cost``.
     """
     config = (config or SolverConfig()).validate()
     core = _ModelCore(model)
@@ -438,7 +445,8 @@ class ScipyHighsBackend:
                 lo[r] = core.b[r]
         integrality = np.zeros(core.n)
         integrality[core.binaries] = 1
-        options = {"mip_rel_gap": config.mip_gap, **HIGHS_MILP_OPTIONS}
+        options = {"mip_rel_gap": config.mip_gap, **HIGHS_MILP_OPTIONS,
+                   "mip_heuristic_run_root_reduced_cost": config.root_reduced_cost}
         if config.time_limit is not None:
             options["time_limit"] = config.time_limit
         if config.node_limit is not None:

@@ -45,7 +45,9 @@ class TestSolve:
         assert res.returncode == 0, res.stderr
         with open(outdir / "trace.csv") as fh:
             rows = list(csv.DictReader(fh))
-        assert rows and set(rows[0]) == {"iteration", "UB", "LB", "gap", "wall_time"}
+        assert rows and set(rows[0]) == {"iteration", "UB", "LB", "gap", "wall_time",
+                                         "master_nodes", "master_s"}
+        assert all(int(r["master_nodes"]) >= 0 and float(r["master_s"]) >= 0 for r in rows)
         assert float(rows[-1]["gap"]) <= 1e-4
         doc = json.loads((outdir / "solution.json").read_text())
         assert doc["status"] in ("gap-closed", "duplicate-t")

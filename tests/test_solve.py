@@ -3,9 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import OptimizeWarning
 
 from edgeprice import solve
+from edgeprice.follower import LeaderDecision, solve_kkt_follower
+from edgeprice.instance import GenConfig, generate
 from edgeprice.model import MilpModel, ModelError
 from edgeprice.solve import (STATUS_GAP_LIMIT, STATUS_INFEASIBLE, STATUS_OPTIMAL,
                              STATUS_TIME_LIMIT, STATUS_UNBOUNDED, SolveResult,
@@ -355,13 +358,35 @@ def knapsack():
 
 
 class TestHighsOptions:
-    def test_options_reach_highs_without_warnings(self):
+    @pytest.mark.parametrize("root_reduced_cost", [False, True])
+    def test_options_reach_highs_without_warnings(self, root_reduced_cost):
         with warnings.catch_warnings():
             # fails if HiGHS no longer knows an option name (OptimizeWarning)
             # or if milp's "passed verbatim" RuntimeWarning escapes the adapter
             warnings.simplefilter("error")
-            res = get_backend("highs").solve_milp(knapsack())
+            res = get_backend("highs").solve_milp(
+                knapsack(), SolverConfig(root_reduced_cost=root_reduced_cost))
         assert res.status == STATUS_OPTIMAL and res.objective == pytest.approx(13.0)
+
+    def test_root_reduced_cost_only_for_kkt_follower(self, monkeypatch):
+        seen = []
+        real_milp = scipy.optimize.milp
+
+        def spy(*args, options=None, **kwargs):
+            seen.append(options["mip_heuristic_run_root_reduced_cost"])
+            return real_milp(*args, options=options, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "milp", spy)
+        get_backend("highs").solve_milp(knapsack(), SolverConfig())
+        backend_solve_polished("highs", knapsack())
+        assert seen and not any(seen)
+
+        seen.clear()
+        inst = generate(GenConfig(I=2, J=2, K=1, graph_size=20, seed=5))
+        leader = LeaderDecision.from_prices(inst, p=[g[0] for g in inst.p_grid],
+                                            ps=[g[0] for g in inst.ps_grid], z=[1] * inst.J)
+        solve_kkt_follower(inst, 0, leader, backend="highs")
+        assert seen and all(seen)
 
     def test_unknown_option_name_is_loud(self, monkeypatch):
         monkeypatch.setitem(solve.HIGHS_MILP_OPTIONS, "mip_heuristic_run_rinz", False)
