@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .instance import (GenConfig, Instance, InstanceError, ScaleFactors,  # noqa: F401
                        apply_scale, generate, generate_with_topology, load, save)
 from .model import (BigMRegistry, Expr, MilpModel, ModelError, VarDef,  # noqa: F401
-                    link_bin_cont, link_one_hot)
+                    link_one_hot)
 from .solve import (SolveResult, SolverConfig, backend_register,  # noqa: F401
                     backend_solve, backend_solve_polished, solve_lp, solve_milp)
 from .follower import (DualSolution, FollowerSolution, LeaderDecision,  # noqa: F401

@@ -6,9 +6,10 @@ decision (activation z, one-hot price selectors r/rs) plus a duplicated
 copy of every follower's variables; each accumulated "cut" enforces,
 for one enumerated placement vector per service, that the duplicated
 follower cost not exceed the value certified by an LP-duality block for
-that placement.  Bilinear terms (price x procurement, price x dual,
-activation x dual) are linearized exactly over the discrete price grids
-with big-M constants tracked in a registry.
+that placement; a (service, placement) pair gets one block however many
+cuts repeat it.  Bilinear terms (price x procurement, price x dual) are
+linearized exactly over the discrete price grids with big-M constants
+tracked in a registry.
 
 Iteration: solve master (upper bound), check gap, solve each follower
 exactly (SP1), re-select follower optima in the platform's favor (SP2,
@@ -31,8 +32,7 @@ from dataclasses import dataclass, field, replace
 from .follower import (DEFAULT_VARIANT, LeaderDecision, ModelVariant, add_follower,
                        assemble_solution, budget_cannot_bind, derived_dual_bound,
                        follower_cost, read_follower, solve_sp1)
-from .model import (BINARY, BigMRegistry, Expr, MilpModel, ModelStats, link_bin_cont,
-                    link_one_hot)
+from .model import BINARY, BigMRegistry, Expr, MilpModel, ModelStats, link_one_hot
 from .solve import STATUS_OPTIMAL, SolverConfig, backend_solve_polished
 
 INF = math.inf
@@ -54,14 +54,24 @@ class Sp2Infeasible(BilevelError):
 # -- Table-style closed-form model sizes --------------------------------
 
 
-def mp_size(I, J, K, V, H, L):
-    """Closed-form master-problem size at iteration L.
+def mp_size(I, J, K, V, H, blocks):
+    """Closed-form master-problem size with one (n, c) pair per block.
 
-    The one-hot price products take V + 1 or H + 1 rows per group; the paper's
-    three rows per product give exactly 2*K*J*(V + H - 1)*(L + 1) more rows.
+    n = |t_k| and c = 1 if service k's budget can bind (the block has mu1,
+    pi and kappa), else 0.  The one-hot price products take V + 1 or H + 1
+    rows per group; the paper's three rows per product give 2*J*(V + H - 1)
+    more rows per service and 2*c*n*(V + H - 1) more per block.  Blocks
+    over every node with nu, varrho = nu*z in three rows and mu1, pi, kappa
+    (fixed at 0 where c = 0) have (J - n)*(I + 1) + (J - c*n)*(V + H + 2) + 3*J
+    more rows and (1 - c) + (J - n)*(I + 2) + (J - c*n)*(V + H) + 2*J more
+    columns per block.
     """
-    n_con = 6 * J + K * (J + L + (L + 1) * (1 + 6 * J + I * (J + 2) + J * (V + H)))
-    n_cont = K * (1 + I + J + 2 * L * (I + 2 * J + 1) + J * (I + H + V) * (L + 1))
+    n_con = 6 * J + K * (1 + 7 * J + I * (J + 2) + J * (V + H))
+    n_cont = K * (1 + I + J + J * (I + V + H))
+    for n, can_bind in blocks:
+        c = int(can_bind)
+        n_con += 2 + 2 * I + n * (I + 1) + c * n * (V + H + 2)
+        n_cont += 1 + c + 2 * I + n * (I + 2) + c * n * (V + H)
     n_bin = J * (1 + V + H + K)
     return ModelStats(n_con, n_cont, n_bin)
 
@@ -79,7 +89,6 @@ def sp2_size(I, J, K):
 
 @dataclass
 class Cut:
-    l: int
     t_vectors: tuple      # t_vectors[k][j] in {0,1}
     source: str = ""      # provenance: which subproblem produced the placements
 
@@ -88,9 +97,7 @@ class Cut:
 class MasterModel:
     model: MilpModel
     registry: BigMRegistry
-    idx: dict             # nested handle map: tag group -> indices
-    cuts: list
-    dims: tuple           # (I, J, K, V, H, L)
+    idx: dict             # handle map: tag group -> indices; "blocks" and their "M"
     variant: ModelVariant
     tied: tuple           # the selector families ("r", "rs") flat pricing ties across nodes
 
@@ -144,6 +151,12 @@ def relative_gap(ub, lb):
 # -- master problem builder ---------------------------------------------
 
 
+def block_keys(cuts):
+    """The distinct (service, placement) pairs of a cut list, in first-seen order."""
+    return list(dict.fromkeys((k, tuple(int(b) for b in t))
+                              for cut in cuts for k, t in enumerate(cut.t_vectors)))
+
+
 def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
                  flat_storage=True, fixed_price=None, fixed_sprice=None, name="master"):
     """Master MILP at the current cut pool (no cuts = the feasibility relaxation).
@@ -155,23 +168,39 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
     toolkit, so the bundle's registry lists each one as a link; each
     duality block keeps its own links under "links".
 
-    Every block of a service k for which ``budget_cannot_bind`` holds has
-    its budget dual mu1 fixed at 0 (pi and kappa follow through their sum
-    rows).  Proof: ``Instance.validate`` makes every price nonnegative and
-    every grid increasing, so no placement costs more than P_k < B_k.  At
-    an optimum of a fixed-placement LP, y0 = sum_i x0_i when p0 > 0 and
-    y_j = sum_i x_ij when p_j > 0 (otherwise that spend term is 0), so the
-    spend is at most p_top * D_k and the budget row is slack at every
-    optimum.  The LP without its budget row therefore has the same value,
-    and its dual is the block with mu1 = 0.  So for every integer leader
-    each block projects to the same cut, the nu escape for closed nodes
-    included (it does not use mu1): the feasible set and the optimum do
-    not move, only the LP relaxation tightens.  Rows, columns and the
-    links' M are those of the unfixed build.
+    ``idx["blocks"]`` maps each distinct (k, t_k) of ``block_keys(cuts)``
+    to one duality block: the dual of service k's fixed-placement LP at
+    t_k, whose objective plus the placement charge bounds the duplicated
+    follower's cost in the block's cut row.  A block holds only what t_k
+    needs.  The dropped variables appear in no other row, so the feasible
+    set and the LP relaxation are those of the block over every node with
+    an activation dual nu_j in [0, M], varrho_j = nu_j * z_j, and mu1, pi
+    and kappa fixed at 0 where a budget cannot bind:
+
+    * A node outside t_k has no edge columns in that LP (y_j <= C_j t_j = 0
+      and x_ij <= y_j), so Gamma_j, sigma_j, tau_ij, pi_j., kappa_j. and
+      the d_pj and d_ed rows are left out.  In the full block, tau_ij = 0
+      and Gamma_j = sigma_j large meet those rows, sigma_j has weight
+      C_j t_j = 0 in the cut, tau_ij weight -a_ijk R_ik <= 0, and
+      pi_jv = mu1 * r_jv meets the one-hot links at every 0 <= r_j. <= 1
+      that sums to 1.
+    * nu_j's term in the cut is nu_j * (t_j - z_j): at best 0 outside t_k
+      and M * (1 - z_j) in t_k, at nu_j = M, also under the three rows that
+      linked varrho_j at fractional z_j.  So each j in t_k adds the term
+      M * (1 - z_j) to the cut row, M = ``derived_dual_bound``.
+    * A service k for which ``budget_cannot_bind`` holds gets no budget
+      dual mu1 and no pi or kappa.  Proof that mu1 = 0 loses no optimum:
+      ``Instance.validate`` makes every price nonnegative and every grid
+      increasing, so no placement costs more than P_k < B_k.  At an
+      optimum of a fixed-placement LP, y0 = sum_i x0_i when p0 > 0 and
+      y_j = sum_i x_ij when p_j > 0 (otherwise that spend term is 0), so
+      the spend is at most p_top * D_k and the budget row is slack at
+      every optimum.  The LP without its budget row therefore has the
+      same value, and its dual is the block with mu1 = 0; the
+      closed-node term does not use mu1.
     """
     inst = instance
     I, J, K, V, H = inst.I, inst.J, inst.K, inst.V, inst.H
-    L = len(cuts)
     registry = BigMRegistry()
     dual_bound = derived_dual_bound(inst)
 
@@ -191,36 +220,6 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
                     for j in range(J)])
         zeta.append([[m.add_var(f"zeta[{j},{h},{k}]", ub=1.0) for h in range(H)]
                      for j in range(J)])
-
-    duals = []
-    for cut in cuts:
-        per_cut = []
-        for k in range(K):
-            l = cut.l
-            blk = {
-                "mu1": m.add_var(f"mu1[{k},{l}]", ub=dual_bound),
-                "mu2": m.add_var(f"mu2[{k},{l}]"),
-                "nu": [m.add_var(f"nu[{j},{k},{l}]", ub=dual_bound) for j in range(J)],
-                "Gamma": [m.add_var(f"Gamma[{j},{k},{l}]") for j in range(J)],
-                "sigma": [m.add_var(f"sigma[{j},{k},{l}]") for j in range(J)],
-                "xi": [m.add_var(f"xi[{i},{k},{l}]") for i in range(I)],
-                "eta": [m.add_var(f"eta[{i},{k},{l}]", lb=-INF) for i in range(I)],
-                "tau": [[m.add_var(f"tau[{i},{j},{k},{l}]") for j in range(J)] for i in range(I)],
-                "kappa": [[m.add_var(f"kappa[{j},{h},{k},{l}]", ub=dual_bound) for h in range(H)]
-                          for j in range(J)],
-                "pi": [[m.add_var(f"pi[{j},{v},{k},{l}]", ub=dual_bound) for v in range(V)]
-                       for j in range(J)],
-                "varrho": [m.add_var(f"varrho[{j},{k},{l}]", ub=dual_bound) for j in range(J)],
-            }
-            per_cut.append(blk)
-        duals.append(per_cut)
-
-    if cuts:
-        registry.register("mp_kappa", dual_bound,
-                          watch=[duals[li][k]["mu1"] for li in range(L) for k in range(K)])
-        registry.register("mp_varrho", dual_bound,
-                          watch=[duals[li][k]["nu"][j] for li in range(L)
-                                 for k in range(K) for j in range(J)])
 
     # platform block (activation-coupled and absolute capacity caps,
     # plus the one-price-per-node selections)
@@ -246,6 +245,7 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
                          name=f"sto_tot[{j}]", family="mp_storage_total")
 
     # duplicated follower feasibility per service
+    costs = []
     for k in range(K):
         s_tb = inst.s_tb(k)
         budget = Expr({g0[k]: inst.p0})
@@ -303,85 +303,29 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
             link_one_hot(m, rho[k][j], yp[k][j], r[j], "mp_rho", registry)
             link_one_hot(m, zeta[k][j], tp[k][j], rs[j], "mp_zeta", registry)
 
-    # one duality block per (service, cut)
-    cut_rows = {}
-    for li, cut in enumerate(cuts):
-        for k in range(K):
-            blk = duals[li][k]
-            tl = cut.t_vectors[k]
-            s_tb = inst.s_tb(k)
-            w = inst.w[k]
-
-            lhs = Expr(constant=sum(inst.psi[i][k] * inst.R[i][k] for i in range(I)))
-            lhs.add(g0[k], inst.p0)
-            for i in range(I):
-                lhs.add(x0p[k][i], w * inst.d0[i] + inst.p0 - inst.psi[i][k])
-                for j in range(J):
-                    lhs.add(xp[k][i][j], w * inst.d[i][j] - inst.psi[i][k])
+        # the duplicated follower's cost, which each of its blocks bounds
+        cost = Expr(constant=sum(inst.psi[i][k] * inst.R[i][k] for i in range(I)))
+        cost.add(g0[k], inst.p0)
+        for i in range(I):
+            cost.add(x0p[k][i], inst.w[k] * inst.d0[i] + inst.p0 - inst.psi[i][k])
             for j in range(J):
-                for v in range(V):
-                    lhs.add(rho[k][j][v], inst.p_grid[j][v])
-                if variant.placement_in_follower:
-                    lhs.add(tp[k][j], inst.phi[j][k])
-                    for h in range(H):
-                        lhs.add(zeta[k][j][h], s_tb * inst.ps_grid[j][h])
+                cost.add(xp[k][i][j], inst.w[k] * inst.d[i][j] - inst.psi[i][k])
+        for j in range(J):
+            for v in range(V):
+                cost.add(rho[k][j][v], inst.p_grid[j][v])
+            if variant.placement_in_follower:
+                cost.add(tp[k][j], inst.phi[j][k])
+                for h in range(H):
+                    cost.add(zeta[k][j][h], s_tb * inst.ps_grid[j][h])
+        costs.append(cost)
 
-            rhs = Expr()
-            rhs.add(blk["mu1"], -inst.B[k])
-            for j in range(J):
-                if variant.placement_in_follower and tl[j]:
-                    rhs.add_expr(Expr(constant=inst.phi[j][k]))
-                    for h in range(H):
-                        rhs.add(rs[j][h], s_tb * inst.ps_grid[j][h])
-                    rhs.add(blk["mu1"], inst.phi[j][k])
-                    for h in range(H):
-                        rhs.add(blk["kappa"][j][h], s_tb * inst.ps_grid[j][h])
-                if tl[j]:
-                    rhs.add(blk["nu"][j], 1.0)
-                    rhs.add(blk["sigma"][j], -inst.C[j])
-                rhs.add(blk["varrho"][j], -1.0)
-            for i in range(I):
-                rhs.add(blk["eta"][i], inst.R[i][k])
-                rhs.add(blk["xi"][i], -inst.R[i][k] * inst.Dmax[k])
-                for j in range(J):
-                    rhs.add(blk["tau"][i][j], -inst.a[i][j][k] * inst.R[i][k])
-
-            cutrow = Expr().add_expr(lhs).add_expr(rhs, -1.0)
-            row_idx = m.add_constraint(cutrow, "<=", 0.0, name=f"cut[{k},{cut.l}]",
-                                       family="mp_cut")
-            cut_rows.setdefault(li, {})[k] = row_idx
-
-            # dual feasibility of the fixed-placement LP
-            m.add_constraint({blk["mu1"]: inst.p0, blk["mu2"]: -1.0}, ">=", -inst.p0,
-                             name=f"d_p0[{k},{cut.l}]", family="mp_dual_p0row")
-            for j in range(J):
-                e = Expr({blk["Gamma"][j]: -1.0, blk["sigma"][j]: 1.0})
-                for v in range(V):
-                    e.add(blk["pi"][j][v], inst.p_grid[j][v])
-                    e.add(r[j][v], inst.p_grid[j][v])
-                m.add_constraint(e, ">=", 0.0, name=f"d_pj[{j},{k},{cut.l}]",
-                                 family="mp_dual_pjrow")
-            for i in range(I):
-                m.add_constraint({blk["eta"][i]: 1.0}, "<=", inst.psi[i][k],
-                                 name=f"d_eta[{i},{k},{cut.l}]", family="mp_dual_eta_ub")
-            for i in range(I):
-                m.add_constraint({blk["mu2"]: 1.0, blk["xi"][i]: inst.d0[i],
-                                  blk["eta"][i]: -1.0}, ">=", -w * inst.d0[i],
-                                 name=f"d_cl[{i},{k},{cut.l}]", family="mp_dual_cloud")
-            for i in range(I):
-                for j in range(J):
-                    m.add_constraint({blk["Gamma"][j]: 1.0, blk["xi"][i]: inst.d[i][j],
-                                      blk["tau"][i][j]: 1.0, blk["eta"][i]: -1.0},
-                                     ">=", -w * inst.d[i][j],
-                                     name=f"d_ed[{i},{j},{k},{cut.l}]", family="mp_dual_edge")
-
-            # kappa = mu1 * rs, pi = mu1 * r, varrho = nu * z
-            first = len(registry.links)
-            for j in range(J):
-                link_one_hot(m, blk["kappa"][j], blk["mu1"], rs[j], "mp_kappa", registry)
-                link_one_hot(m, blk["pi"][j], blk["mu1"], r[j], "mp_pi", registry)
-                link_bin_cont(m, blk["varrho"][j], blk["nu"][j], z[j], "mp_varrho", registry)
-            blk["links"] = registry.links[first:]
+    idx = {"z": z, "r": r, "rs": rs, "tp": tp, "xp": xp, "x0p": x0p, "yp": yp,
+           "g0": g0, "M": dual_bound, "blocks": {}}
+    for k, t in block_keys(cuts):
+        idx["blocks"][(k, t)] = _add_block(m, inst, variant, registry, idx, costs[k], k, t)
+    mu1s = [blk["mu1"] for blk in idx["blocks"].values() if blk["mu1"] is not None]
+    if mu1s:
+        registry.register("mp_kappa", dual_bound, watch=mu1s)
 
     # optional scheme restrictions (these add rows, so size audits use the
     # unrestricted build)
@@ -407,10 +351,6 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
             for h in range(H):
                 var = m.variables[rs[j][h]]
                 var.lb = var.ub = 1.0 if h == sel else 0.0
-    for k in range(K):
-        if budget_cannot_bind(inst, k):
-            for per_cut in duals:
-                m.variables[per_cut[k]["mu1"]].ub = 0.0
 
     # platform profit: placement + edge revenue - operating cost
     obj = Expr()
@@ -427,11 +367,89 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
         obj.add(z[j], -inst.f[j])
     m.set_objective(obj)
 
-    idx = {"z": z, "r": r, "rs": rs, "tp": tp, "xp": xp, "x0p": x0p, "yp": yp,
-           "g0": g0, "duals": duals, "cut_rows": cut_rows}
-    return MasterModel(model=m.finalize(), registry=registry, idx=idx,
-                       cuts=list(cuts), dims=(I, J, K, V, H, L), variant=variant,
+    return MasterModel(model=m.finalize(), registry=registry, idx=idx, variant=variant,
                        tied=(("r", "rs") if flat_storage else ("r",)) if flat else ())
+
+
+def _add_block(m, inst, variant, registry, idx, cost, k, t):
+    """Service k's duality block for placement t (see ``build_master``)."""
+    I, V, H = inst.I, inst.V, inst.H
+    M = idx["M"]
+    on = [j for j, bit in enumerate(t) if bit]
+    tag = f"{k},{len(idx['blocks'])}"
+    s_tb = inst.s_tb(k)
+    w = inst.w[k]
+    first = m.n_vars
+    mu1 = None if budget_cannot_bind(inst, k) else m.add_var(f"mu1[{tag}]", ub=M)
+    blk = {
+        "mu1": mu1,
+        "mu2": m.add_var(f"mu2[{tag}]"),
+        "Gamma": {j: m.add_var(f"Gamma[{j},{tag}]") for j in on},
+        "sigma": {j: m.add_var(f"sigma[{j},{tag}]") for j in on},
+        "xi": [m.add_var(f"xi[{i},{tag}]") for i in range(I)],
+        "eta": [m.add_var(f"eta[{i},{tag}]", lb=-INF) for i in range(I)],
+        "tau": [{j: m.add_var(f"tau[{i},{j},{tag}]") for j in on} for i in range(I)],
+        "kappa": {j: [m.add_var(f"kappa[{j},{h},{tag}]", ub=M) for h in range(H)]
+                  for j in on if mu1 is not None},
+        "pi": {j: [m.add_var(f"pi[{j},{v},{tag}]", ub=M) for v in range(V)]
+               for j in on if mu1 is not None},
+    }
+    blk["vars"] = slice(first, m.n_vars)
+
+    # duplicated follower cost <= dual objective + placement charge
+    row = Expr().add_expr(cost)
+    if mu1 is not None:
+        row.add(mu1, inst.B[k])
+    for j in on:
+        if variant.placement_in_follower:
+            row.constant -= inst.phi[j][k]
+            for h in range(H):
+                row.add(idx["rs"][j][h], -s_tb * inst.ps_grid[j][h])
+            if mu1 is not None:
+                row.add(mu1, -inst.phi[j][k])
+                for h in range(H):
+                    row.add(blk["kappa"][j][h], -s_tb * inst.ps_grid[j][h])
+        row.constant -= M
+        row.add(idx["z"][j], M)
+        row.add(blk["sigma"][j], inst.C[j])
+    for i in range(I):
+        row.add(blk["eta"][i], -inst.R[i][k])
+        row.add(blk["xi"][i], inst.R[i][k] * inst.Dmax[k])
+        for j in on:
+            row.add(blk["tau"][i][j], inst.a[i][j][k] * inst.R[i][k])
+    blk["row"] = m.add_constraint(row, "<=", 0.0, name=f"cut[{tag}]", family="mp_cut")
+
+    # dual feasibility of the fixed-placement LP
+    m.add_constraint({**({mu1: inst.p0} if mu1 is not None else {}), blk["mu2"]: -1.0},
+                     ">=", -inst.p0, name=f"d_p0[{tag}]", family="mp_dual_p0row")
+    for j in on:
+        e = Expr({blk["Gamma"][j]: -1.0, blk["sigma"][j]: 1.0})
+        for v in range(V):
+            if mu1 is not None:
+                e.add(blk["pi"][j][v], inst.p_grid[j][v])
+            e.add(idx["r"][j][v], inst.p_grid[j][v])
+        m.add_constraint(e, ">=", 0.0, name=f"d_pj[{j},{tag}]", family="mp_dual_pjrow")
+    for i in range(I):
+        m.add_constraint({blk["eta"][i]: 1.0}, "<=", inst.psi[i][k],
+                         name=f"d_eta[{i},{tag}]", family="mp_dual_eta_ub")
+    for i in range(I):
+        m.add_constraint({blk["mu2"]: 1.0, blk["xi"][i]: inst.d0[i],
+                          blk["eta"][i]: -1.0}, ">=", -w * inst.d0[i],
+                         name=f"d_cl[{i},{tag}]", family="mp_dual_cloud")
+    for i in range(I):
+        for j in on:
+            m.add_constraint({blk["Gamma"][j]: 1.0, blk["xi"][i]: inst.d[i][j],
+                              blk["tau"][i][j]: 1.0, blk["eta"][i]: -1.0},
+                             ">=", -w * inst.d[i][j],
+                             name=f"d_ed[{i},{j},{tag}]", family="mp_dual_edge")
+
+    # kappa = mu1 * rs and pi = mu1 * r
+    first_link = len(registry.links)
+    for j in blk["pi"]:
+        link_one_hot(m, blk["kappa"][j], mu1, idx["rs"][j], "mp_kappa", registry)
+        link_one_hot(m, blk["pi"][j], mu1, idx["r"][j], "mp_pi", registry)
+    blk["links"] = registry.links[first_link:]
+    return blk
 
 
 def _grid_index(grid, price, label):
@@ -498,15 +516,24 @@ def linearization_audit(bundle, result):
 
 
 def repair_dual_blocks(instance, bundle, result, config=None):
-    """Rewrite every cut's certificate block into canonical form.
+    """Rewrite every duality block into canonical form.
 
     The dual-block variables carry no objective coefficient, so MILP
     engines may park them anywhere feasible, including at their big-M
-    caps, which would poison the big-M audit.  Each (service, cut) block
-    is replaced by the exact dual optimum of that placement's LP when
-    the placement is usable under the solved leader decision, or by a
-    minimal escape certificate along the dual ray when it is not.  The
-    full model is re-verified afterwards; the objective cannot move
+    caps, which would poison the big-M audit.  Each block is zeroed and
+    then, under the solved leader decision:
+
+    * usable placement: set to the exact dual optimum of its LP;
+    * over budget at open nodes: pushed along the mu1 ray just far
+      enough for its cut row to hold;
+    * a node of t_k closed: left at zero.  The row's M * (1 - z_j) terms
+      are its slack, and at the zero block it needs the duplicated
+      follower's cost less the placement charge.  That cost is at most
+      B_k + all-drop cost + w_k * d_max * D_k, which ``derived_dual_bound``
+      caps below M / 10, so the check that raises ``BilevelError`` when the
+      row needs 0.99 * M or more cannot trip at that M.
+
+    The full model is re-verified afterwards; the objective cannot move
     because certificate variables never appear in it.
 
     The placement LPs are solved by the built-in engine whatever the
@@ -517,70 +544,45 @@ def repair_dual_blocks(instance, bundle, result, config=None):
     from .follower import solve_fixed_t_lp
 
     inst = instance
-    I, J, K, _, _, L = bundle.dims
-    if L == 0:
+    if not bundle.idx["blocks"]:
         return result
     vals = result.values
-    idx = bundle.idx
     model = bundle.model
-    variant = bundle.variant
+    M = bundle.idx["M"]
     # the master's own prices: its duals must satisfy the rows at them
     leader = _master_leader(inst, bundle, vals, canonical=False)
 
-    for li in range(L):
-        cut = bundle.cuts[li]
-        for k in range(K):
-            blk = idx["duals"][li][k]
-            tl = [int(b) for b in cut.t_vectors[k]]
-            for key in ("mu1", "mu2"):
-                vals[blk[key]] = 0.0
-            for j in range(J):
-                vals[blk["nu"][j]] = 0.0
-                vals[blk["Gamma"][j]] = 0.0
-                vals[blk["sigma"][j]] = 0.0
-            for i in range(I):
-                vals[blk["xi"][i]] = 0.0
-                vals[blk["eta"][i]] = 0.0
-                for j in range(J):
-                    vals[blk["tau"][i][j]] = 0.0
-            # with mu1 and nu at 0 the block's products are 0 too, which the
-            # escape branch's cut-row activity relies on
-            _set_products(vals, blk["links"])
-
-            ft = solve_fixed_t_lp(inst, k, leader, tl, variant, config)
-            if ft.status == STATUS_OPTIMAL:
-                d = ft.dual
+    for (k, t), blk in bundle.idx["blocks"].items():
+        vals[blk["vars"]] = 0.0
+        ft = solve_fixed_t_lp(inst, k, leader, t, bundle.variant, config)
+        if ft.status == STATUS_OPTIMAL:
+            d = ft.dual
+            if blk["mu1"] is not None:
                 vals[blk["mu1"]] = d.mu1
-                vals[blk["mu2"]] = d.mu2
-                for j in range(J):
-                    vals[blk["Gamma"][j]] = d.Gamma[j]
-                    vals[blk["sigma"][j]] = d.sigma[j]
-                for i in range(I):
-                    vals[blk["xi"][i]] = d.xi[i]
-                    vals[blk["eta"][i]] = d.eta[i]
-                    for j in range(J):
-                        vals[blk["tau"][i][j]] = d.tau[i][j]
-            else:
-                # the placement is unusable under this leader decision: push
-                # the certificate along the unbounded dual direction until
-                # the cut row goes slack
-                row = model.constraints[idx["cut_rows"][li][k]]
-                need = model.constraint_activity(row, vals) - row.rhs
-                if need > 0:
-                    margin = 1e-7 * (1.0 + abs(need))
-                    j_off = next((j for j in range(J)
-                                  if tl[j] and leader.z[j] == 0), None)
-                    if j_off is not None:
-                        vals[blk["nu"][j_off]] = need + margin
-                    else:
-                        placement = sum(leader.placement_price(inst, k, j) * tl[j]
-                                        for j in range(J))
-                        overshoot = placement - inst.B[k]
-                        if overshoot <= 0:
-                            raise BilevelError(
-                                f"cut ({k},{cut.l}) infeasible with no escape direction")
-                        vals[blk["mu1"]] = (need + margin) / overshoot
-                        vals[blk["mu2"]] = 0.0
+            vals[blk["mu2"]] = d.mu2
+            vals[blk["xi"]] = d.xi
+            vals[blk["eta"]] = d.eta
+            for j in blk["Gamma"]:
+                vals[blk["Gamma"][j]] = d.Gamma[j]
+                vals[blk["sigma"][j]] = d.sigma[j]
+                for i in range(inst.I):
+                    vals[blk["tau"][i][j]] = d.tau[i][j]
+            _set_products(vals, blk["links"])
+            continue
+        row = model.constraints[blk["row"]]
+        need = model.constraint_activity(row, vals) - row.rhs
+        closed = sum(1 - leader.z[j] for j, bit in enumerate(t) if bit)
+        if closed:
+            if need + M * closed >= BigMRegistry.FLAG_RATIO * M:
+                raise BilevelError(
+                    f"block ({k}, {t}) needs {need + M * closed:.6g} of its closed-node "
+                    f"slack M = {M:.6g}")
+        elif need > 0:
+            overshoot = sum(leader.placement_price(inst, k, j) * t[j]
+                            for j in range(inst.J)) - inst.B[k]
+            if blk["mu1"] is None or overshoot <= 0:
+                raise BilevelError(f"block ({k}, {t}) infeasible with no escape direction")
+            vals[blk["mu1"]] = (need + 1e-7 * (1.0 + need)) / overshoot
             _set_products(vals, blk["links"])
 
     worst = model.max_violation(vals)
@@ -797,7 +799,7 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
                 "repeated placement vector without gap closure "
                 f"(UB={state.UB:.12g}, LB={state.LB:.12g}); this contradicts the "
                 "finite-termination argument and indicates a numerical problem")
-        state.cuts.append(Cut(l=len(state.cuts) + 1, t_vectors=t_new, source=origin))
+        state.cuts.append(Cut(t_vectors=t_new, source=origin))
     else:
         state.status = "limit"
 
@@ -817,8 +819,8 @@ def solve_bruteforce(instance, variant=DEFAULT_VARIANT, config=None,
     n_cuts = K * (2 ** J)
     if n_cuts > max_cuts:
         return None, "NA"
-    cuts = [Cut(l=l + 1, t_vectors=tuple(tuple(bits) for _ in range(K)))
-            for l, bits in enumerate(itertools.product((0, 1), repeat=J))]
+    cuts = [Cut(t_vectors=tuple(tuple(bits) for _ in range(K)))
+            for bits in itertools.product((0, 1), repeat=J)]
     bundle = build_master(inst, cuts, variant=variant)
     cfg = config or SolverConfig()
     if time_limit is not None:

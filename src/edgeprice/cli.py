@@ -12,6 +12,7 @@ Exit codes: 0 = optimal/pass, 2 = limit/NA, 1 = error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -38,6 +39,21 @@ PRESETS = {
 
 def _default_backend():
     return os.environ.get("EDGEPRICE_BACKEND", "highs")
+
+
+@contextlib.contextmanager
+def stdout_to_stderr():
+    """Point file descriptor 1 at stderr while a command solves: HiGHS's C
+    code prints stray lines to stdout, which carries the command's output."""
+    sys.stdout.flush()
+    saved = os.dup(1)
+    os.dup2(2, 1)
+    try:
+        yield
+    finally:
+        sys.stdout.flush()
+        os.dup2(saved, 1)
+        os.close(saved)
 
 
 def _hash_file(path):
@@ -90,8 +106,9 @@ def cmd_solve(args):
     os.makedirs(args.out, exist_ok=True)
     scheme = Scheme(kind=args.scheme)
     config = SolverConfig(node_limit=args.node_limit) if args.node_limit else None
-    result = solve_scheme(inst, scheme, epsilon=args.epsilon, config=config,
-                          backend=args.backend, time_limit=args.time_limit)
+    with stdout_to_stderr():
+        result = solve_scheme(inst, scheme, epsilon=args.epsilon, config=config,
+                              backend=args.backend, time_limit=args.time_limit)
     state = result.state
 
     trace_path = os.path.join(args.out, "trace.csv")
@@ -132,15 +149,16 @@ def cmd_compare(args):
     inst = load(args.instance)
     os.makedirs(args.out, exist_ok=True)
 
-    t_alg = time.perf_counter()
-    state = run_algorithm1(inst, epsilon=args.epsilon, backend=args.backend,
-                           time_limit=args.time_limit)
-    alg_wall = time.perf_counter() - t_alg
-    t_bf = time.perf_counter()
-    bf, bf_status = solve_bruteforce(inst, backend=args.backend,
-                                     max_cuts=args.max_cuts,
-                                     time_limit=args.time_limit)
-    bf_wall = time.perf_counter() - t_bf
+    with stdout_to_stderr():
+        t_alg = time.perf_counter()
+        state = run_algorithm1(inst, epsilon=args.epsilon, backend=args.backend,
+                               time_limit=args.time_limit)
+        alg_wall = time.perf_counter() - t_alg
+        t_bf = time.perf_counter()
+        bf, bf_status = solve_bruteforce(inst, backend=args.backend,
+                                         max_cuts=args.max_cuts,
+                                         time_limit=args.time_limit)
+        bf_wall = time.perf_counter() - t_bf
 
     doc = {"algorithm1": {"status": state.status, "objective": state.LB,
                           "iterations": state.iteration, "wall_time": round(alg_wall, 3)},
@@ -184,7 +202,8 @@ def cmd_sweep(args):
                      backend=raw.get("backend", args.backend),
                      gen=gen, time_limit=raw.get("time_limit"))
     os.makedirs(args.out, exist_ok=True)
-    rows = run_sweep(spec)
+    with stdout_to_stderr():
+        rows = run_sweep(spec)
 
     csv_path = os.path.join(args.out, "sweep.csv")
     with open(csv_path, "w", newline="") as fh:

@@ -187,10 +187,10 @@ class FollowerSolution:
 
 @dataclass
 class DualSolution:
-    """Duals of the fixed-placement LP, one per constraint family."""
+    """Duals of the fixed-placement LP, one per constraint family (the
+    activation rows t_j <= z_j are constant there, with dual 0)."""
     mu1: float         # budget
     mu2: float         # cloud coupling
-    nu: list           # [j] activation link (zero whenever t <= z holds strictly)
     Gamma: list        # [j] EN coupling
     sigma: list        # [j] placement capacity
     xi: list           # [i] delay cap
@@ -203,7 +203,6 @@ class DualSolution:
         placement = sum(leader.placement_price(instance, k, j) * t[j] for j in range(J)) \
             if variant.placement_in_follower else 0.0
         val = -self.mu1 * (instance.B[k] - placement)
-        val += sum(self.nu[j] * (t[j] - leader.z[j]) for j in range(J))
         val += sum(instance.R[i][k] * self.eta[i] for i in range(I))
         val -= sum(instance.R[i][k] * instance.Dmax[k] * self.xi[i] for i in range(I))
         val -= sum(instance.C[j] * t[j] * self.sigma[j] for j in range(J))
@@ -218,7 +217,7 @@ class DualSolution:
         worst = max(0.0, -self.mu1, -self.mu2)
         worst = max(worst, self.mu2 - instance.p0 * (1.0 + self.mu1))
         for j in range(J):
-            worst = max(worst, -self.nu[j], -self.Gamma[j], -self.sigma[j])
+            worst = max(worst, -self.Gamma[j], -self.sigma[j])
             worst = max(worst, self.Gamma[j] - leader.p[j] * (1.0 + self.mu1) - self.sigma[j])
         for i in range(I):
             worst = max(worst, -self.xi[i])
@@ -400,7 +399,6 @@ def solve_fixed_t_lp(instance, k, leader, t, variant=DEFAULT_VARIANT,
     dual = DualSolution(
         mu1=neg(rows["budget"]),
         mu2=neg(rows["cloud"]),
-        nu=[0.0] * J,
         Gamma=[neg(r) for r in rows["edge"]],
         sigma=[neg(r) for r in rows["capacity"]],
         xi=[neg(r) for r in rows["delay"]],
@@ -458,8 +456,9 @@ def derived_dual_bound(instance):
     and the marginal value of money on the cheapest resource (the
     smallest positive price), with a 10x cushion; the registry's 0.99*M
     validation guards the assumption.  It caps every KKT-follower dual and
-    the master's nu; the master's mu1 (with pi and kappa) too, except in
-    services where ``budget_cannot_bind`` holds: there mu1 is fixed at 0.
+    the master's mu1 where a budget can bind, and is the master's
+    closed-node constant: each node j of a block's placement adds
+    M * (1 - z_j) to its cut row (see ``repair_dual_blocks``).
     """
     inst = instance
     d_max = max(max(inst.d0),

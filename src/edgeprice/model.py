@@ -3,8 +3,8 @@
 Models are sparse collections of variables, linear constraints, and a
 linear objective.  The module also provides the exact linearization
 toolkit: the caller declares product variables, the toolkit adds their
-rows with M the other factor's declared upper bound, convex-hull rows
-for a one-hot group of binaries and three big-M rows for a lone binary.
+rows with M the other factor's declared upper bound: convex-hull rows
+for a one-hot group of binaries.
 A registry records every product built against it, for a post-solve
 linearization audit, and tracks the big-M constants of each constraint
 family so their validity can be audited too.
@@ -312,42 +312,6 @@ class BigMRegistry:
 # -- linearization toolkit -------------------------------------------
 
 
-def _product_var(model, U):
-    var = model.variables[U]
-    if var.lb != 0.0:
-        raise ModelError(f"product variable {var.name} must have lower bound 0, has {var.lb}")
-    return var
-
-
-def _factor_bound(model, u, bs, caller):
-    """M for products of u with binaries bs: u's declared upper bound."""
-    for b in bs:
-        if model.variables[b].kind != BINARY:
-            raise ModelError(f"{caller} partner {model.variables[b].name} is not binary")
-    uvar = model.variables[u]
-    if uvar.lb < 0 or not 0 < uvar.ub < INF:
-        raise ModelError(f"{caller} needs 0 <= {uvar.name} <= M with a finite M > 0; "
-                         f"{uvar.name} has bounds [{uvar.lb}, {uvar.ub}]")
-    return uvar.ub
-
-
-def link_bin_cont(model, U, u, b, family="link_bin_cont", registry=None):
-    """Constrain U = u*b for u in [0, M] and binary b; returns U.
-
-    Rows: U <= M*b, U <= u, U >= u + M*b - M, with U >= 0 carried by U's
-    lower bound.  M is u's declared upper bound, so the rows are exact
-    for 0 <= u <= M, and U <= u is the tightest valid second row.
-    """
-    name = _product_var(model, U).name
-    M = _factor_bound(model, u, [b], "link_bin_cont")
-    model.add_constraint({U: 1.0, b: -M}, "<=", 0.0, name=f"{name}:ub_bin", family=family)
-    model.add_constraint({U: 1.0, u: -1.0}, "<=", 0.0, name=f"{name}:ub_cont", family=family)
-    model.add_constraint({U: 1.0, u: -1.0, b: -M}, ">=", -M, name=f"{name}:lb", family=family)
-    if registry is not None:
-        registry.links.append((U, u, b))
-    return U
-
-
 def link_one_hot(model, Us, u, bs, family="link_one_hot", registry=None):
     """Constrain Us[v] = u*bs[v] for u in [0, M] and binaries bs; returns Us.
 
@@ -355,12 +319,23 @@ def link_one_hot(model, Us, u, bs, family="link_one_hot", registry=None):
     per level and sum_v Us[v] = u (Us[v] >= 0 is each lower bound), the
     convex hull of the disjunction over the levels: exact at every one-hot
     bs, and U_v <= u and U_v >= u - M(1 - b_v) follow, so its relaxation is
-    at least as tight as one link_bin_cont per level, in V + 1 rows, not 3V.
+    at least as tight as the three big-M rows per level, in V + 1 rows, not 3V.
     """
     if not Us or len(Us) != len(bs):
         raise ModelError(f"link_one_hot got {len(Us)} products for {len(bs)} binaries")
-    names = [_product_var(model, U).name for U in Us]
-    M = _factor_bound(model, u, bs, "link_one_hot")
+    for U in Us:
+        var = model.variables[U]
+        if var.lb != 0.0:
+            raise ModelError(f"product variable {var.name} must have lower bound 0, has {var.lb}")
+    for b in bs:
+        if model.variables[b].kind != BINARY:
+            raise ModelError(f"link_one_hot partner {model.variables[b].name} is not binary")
+    uvar = model.variables[u]
+    if uvar.lb < 0 or not 0 < uvar.ub < INF:
+        raise ModelError(f"link_one_hot needs 0 <= {uvar.name} <= M with a finite M > 0; "
+                         f"{uvar.name} has bounds [{uvar.lb}, {uvar.ub}]")
+    M = uvar.ub
+    names = [model.variables[U].name for U in Us]
     for name, U, b in zip(names, Us, bs):
         model.add_constraint({U: 1.0, b: -M}, "<=", 0.0, name=f"{name}:ub_bin", family=family)
     model.add_constraint({**{U: 1.0 for U in Us}, u: -1.0}, "==", 0.0,

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .bilevel import (Cut, build_master, build_sp2, mp_size, run_algorithm1,
+from .bilevel import (Cut, block_keys, build_master, build_sp2, mp_size, run_algorithm1,
                       sp1_size, sp2_size)
-from .follower import LeaderDecision, ModelVariant, build_follower_milp
+from .follower import LeaderDecision, ModelVariant, budget_cannot_bind, build_follower_milp
 from .instance import GenConfig, ScaleFactors, apply_scale, generate
 
 SCHEME_KINDS = ("dyn", "flat", "avg", "nostorage", "noplacement")
@@ -212,9 +212,9 @@ def audit_sizes(I, J, K, V, H, L, instance=None):
         gen = GenConfig(I=I, J=J, K=K, graph_size=max(100, I + J),
                         compute_grid=tuple(grid_v), storage_grid=tuple(grid_h), seed=0)
         inst = generate(gen)
-    cuts = [Cut(l=l + 1, t_vectors=tuple(tuple((l + j) % 2 for j in range(J))
-                                         for _ in range(K)))
+    cuts = [Cut(t_vectors=tuple(tuple((l + j) % 2 for j in range(J)) for _ in range(K)))
             for l in range(L)]
+    blocks = [(sum(t), not budget_cannot_bind(inst, k)) for k, t in block_keys(cuts)]
     leader = LeaderDecision.from_prices(
         inst, [inst.p_grid[j][0] for j in range(J)],
         [inst.ps_grid[j][0] for j in range(J)], [1] * J)
@@ -230,7 +230,7 @@ def audit_sizes(I, J, K, V, H, L, instance=None):
                             "families": families if comp == "constraints" else None})
 
     mp_bundle = build_master(inst, cuts)
-    compare("MP", mp_bundle.model.stats(), mp_size(I, J, K, V, H, L),
+    compare("MP", mp_bundle.model.stats(), mp_size(I, J, K, V, H, blocks),
             mp_bundle.model.family_counts())
     sp1_model, _ = build_follower_milp(inst, 0, leader)
     compare("SP1", sp1_model.stats(), sp1_size(I, J), sp1_model.family_counts())

@@ -134,7 +134,7 @@ class TestManualEnumerationOracle:
 
 
 class TestBudgetDual:
-    """The master fixes mu1 at 0 only where a service's budget cannot bind."""
+    """The master drops mu1 only where a service's budget cannot bind."""
 
     @pytest.mark.parametrize("B,psi,expected", [(1.8, 0.6, 0.69625), (1.5, 0.5, 0.115)])
     def test_binding_budget_matches_manual_enumeration(self, B, psi, expected):
@@ -157,11 +157,13 @@ class TestBudgetDual:
     def test_fix_only_in_slack_service(self):
         inst = make_manual_instance(K=2, B=[25.0, 1.5], psi=[[0.1, 0.5], [0.1, 0.5]])
         assert [budget_cannot_bind(inst, k) for k in range(2)] == [True, False]
-        cuts = [Cut(l=1, t_vectors=((0, 1), (0, 1))), Cut(l=2, t_vectors=((1, 1), (1, 0)))]
+        cuts = [Cut(t_vectors=((0, 1), (0, 1))), Cut(t_vectors=((1, 1), (1, 0)))]
         bundle = build_master(inst, cuts)
-        for per_cut in bundle.idx["duals"]:
-            assert bundle.model.variables[per_cut[0]["mu1"]].ub == 0.0
-            assert bundle.model.variables[per_cut[1]["mu1"]].ub == derived_dual_bound(inst)
+        for (k, _), blk in bundle.idx["blocks"].items():
+            if k == 0:
+                assert blk["mu1"] is None and not blk["pi"] and not blk["kappa"]
+            else:
+                assert bundle.model.variables[blk["mu1"]].ub == derived_dual_bound(inst)
         state = run_algorithm1(inst, epsilon=1e-8, backend="highs")
         bf, status = solve_bruteforce(inst, backend="highs")
         assert status == "optimal"
@@ -170,22 +172,96 @@ class TestBudgetDual:
         assert not state.bigm_flags
         assert state.linearization_worst <= 1e-6
 
+    # full-enumeration optima of the master that still carried mu1, pi and
+    # kappa (fixed at 0) in every block
+    ENUM_OPTIMA = {42: 0.6945001628085093, 46: 0.6706667273184755}
+
     @pytest.mark.parametrize("seed", [42, 46])
     def test_fixed_dual_keeps_the_optimum(self, seed):
         inst = tiny_gen(seed)
         assert all(budget_cannot_bind(inst, k) for k in range(inst.K))
-        cuts = [Cut(l=l + 1, t_vectors=tuple(tuple(bits) for _ in range(inst.K)))
-                for l, bits in enumerate(itertools.product((0, 1), repeat=inst.J))]
-        fixed = build_master(inst, cuts)
-        capped = build_master(inst, cuts)
-        for per_cut in capped.idx["duals"]:
-            for blk in per_cut:
-                assert capped.model.variables[blk["mu1"]].ub == 0.0
-                capped.model.variables[blk["mu1"]].ub = derived_dual_bound(inst)
-        a = backend_solve_polished("highs", fixed.model).objective
-        b = backend_solve_polished("highs", capped.model).objective
+        cuts = [Cut(t_vectors=tuple(tuple(bits) for _ in range(inst.K)))
+                for bits in itertools.product((0, 1), repeat=inst.J)]
+        bundle = build_master(inst, cuts)
+        assert all(blk["mu1"] is None for blk in bundle.idx["blocks"].values())
+        a = backend_solve_polished("highs", bundle.model).objective
         assert a > 0.5
-        assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
+        assert abs(a - self.ENUM_OPTIMA[seed]) <= 1e-9 * max(1.0, abs(a))
+
+
+class TestDualBlocks:
+    """One block per distinct (service, placement), over the nodes it uses."""
+
+    @staticmethod
+    def two_service_instance():
+        # node 0 is eligible for no area, so the leader closes it; service 1
+        # cannot afford node 1's installation fee, so its budget can bind
+        return make_manual_instance(K=2, B=[25.0, 0.5], a=[[[0, 0], [1, 1]]] * 2,
+                                    phi=[[0.2, 0.2], [0.2, 1.0]])
+
+    def test_repeated_pair_adds_nothing(self):
+        inst = self.two_service_instance()
+        once = [Cut(t_vectors=((0, 1), (0, 1))), Cut(t_vectors=((1, 0), (1, 1)))]
+        twice = once + [Cut(t_vectors=((1, 0), (0, 1))), Cut(t_vectors=((0, 1), (1, 1)))]
+        a, b = build_master(inst, once), build_master(inst, twice)
+        assert a.model.stats() == b.model.stats()
+        assert list(a.idx["blocks"]) == list(b.idx["blocks"]) == \
+            [(0, (0, 1)), (1, (0, 1)), (0, (1, 0)), (1, (1, 1))]
+        for (k, t), blk in b.idx["blocks"].items():
+            on = {j for j, bit in enumerate(t) if bit}
+            assert set(blk["Gamma"]) == set(blk["sigma"]) == on
+            assert all(set(row) == on for row in blk["tau"])
+            assert set(blk["pi"]) == set(blk["kappa"]) == (set() if blk["mu1"] is None else on)
+            # the handles cover the block's whole variable range
+            handles = [blk["mu1"], blk["mu2"], *blk["Gamma"].values(), *blk["sigma"].values(),
+                       *blk["xi"], *blk["eta"], *(v for row in blk["tau"] for v in row.values()),
+                       *(v for group in (*blk["pi"].values(), *blk["kappa"].values())
+                         for v in group)]
+            assert sorted(h for h in handles if h is not None) == \
+                list(range(blk["vars"].start, blk["vars"].stop))
+        stats = b.model.stats()
+        I, J, K, V, H = inst.I, inst.J, inst.K, inst.V, inst.H
+        blocks = [(sum(t), not budget_cannot_bind(inst, k)) for k, t in b.idx["blocks"]]
+        assert stats.as_tuple() == mp_size(I, J, K, V, H, blocks).as_tuple()
+
+    def test_repair_takes_every_branch(self):
+        inst = self.two_service_instance()
+        cuts = [Cut(t_vectors=((0, 1), (0, 1))), Cut(t_vectors=((1, 0), (1, 0)))]
+        bundle = build_master(inst, cuts)
+        res = backend_solve_polished("reference", bundle.model)
+        assert res.status == STATUS_OPTIMAL
+        repair_dual_blocks(inst, bundle, res)
+        leader = extract_master_solution(inst, bundle, res).leader
+        assert leader.z == [0, 1]
+        vals, blocks = res.values, bundle.idx["blocks"]
+        # exact dual: service 0 on the open node
+        exact = solve_fixed_t_lp(inst, 0, leader, [0, 1]).dual
+        blk = blocks[(0, (0, 1))]
+        assert vals[blk["mu2"]] == pytest.approx(exact.mu2, abs=1e-12)
+        assert vals[blk["Gamma"][1]] == pytest.approx(exact.Gamma[1], abs=1e-12)
+        # mu1 ray: service 1 cannot pay node 1's fee
+        assert solve_fixed_t_lp(inst, 1, leader, [0, 1]).dual_ray
+        ray = blocks[(1, (0, 1))]
+        assert 0 < vals[ray["mu1"]] < bundle.idx["M"]
+        assert vals[ray["mu2"]] == 0.0
+        row = bundle.model.constraints[ray["row"]]
+        assert bundle.model.constraint_activity(row, vals) <= row.rhs
+        # closed node: both services' blocks on node 0 stay at zero
+        for k in range(2):
+            assert not np.any(vals[blocks[(k, (1, 0))]["vars"]])
+        assert linearization_audit(bundle, res) <= 1e-9
+
+    def test_undersized_closed_node_slack_raises(self, monkeypatch):
+        # the duplicated follower's cost less node 0's placement charge is
+        # about 2.2; a closed-node constant of 1 cannot cover it
+        inst = make_manual_instance(a=[[[0], [1]]] * 2)
+        monkeypatch.setattr("edgeprice.bilevel.derived_dual_bound", lambda _: 1.0)
+        bundle = build_master(inst, [Cut(t_vectors=((0, 1),)), Cut(t_vectors=((1, 0),))])
+        res = backend_solve_polished("highs", bundle.model)
+        assert res.status == STATUS_OPTIMAL
+        assert extract_master_solution(inst, bundle, res).leader.z == [0, 1]
+        with pytest.raises(BilevelError, match="closed-node slack"):
+            repair_dual_blocks(inst, bundle, res)
 
 
 class TestHpp:
@@ -229,44 +305,45 @@ class TestMasterRelaxationChain:
         inst = tiny_gen(4)
         hpp_bundle = build_master(inst, [])
         hpp_val = backend_solve_polished("highs", hpp_bundle.model).objective
-        cut = Cut(l=1, t_vectors=tuple(tuple(0 for _ in range(inst.J))
-                                       for _ in range(inst.K)))
+        cut = Cut(t_vectors=tuple(tuple(0 for _ in range(inst.J)) for _ in range(inst.K)))
         one_bundle = build_master(inst, [cut])
         one_val = backend_solve_polished("highs", one_bundle.model).objective
         assert one_val <= hpp_val + 1e-9 * (1 + abs(hpp_val))
 
     def test_sizes_match_closed_forms(self):
-        inst = tiny_gen(5)
-        for L in (0, 1, 3):
-            cuts = [Cut(l=l + 1,
-                        t_vectors=tuple(tuple((l + j) % 2 for j in range(inst.J))
-                                        for _ in range(inst.K)))
+        # all budgets slack in the first instance; service 1's can bind in the second
+        for inst, L in itertools.product(
+                (tiny_gen(5), make_manual_instance(K=2, B=[25.0, 1.5],
+                                                   psi=[[0.1, 0.5], [0.1, 0.5]])), (0, 1, 3)):
+            I, J, K, V, H = inst.I, inst.J, inst.K, inst.V, inst.H
+            cuts = [Cut(t_vectors=tuple(tuple((l + j) % 2 for j in range(J)) for _ in range(K)))
                     for l in range(L)]
             bundle = build_master(inst, cuts)
-            assert bundle.model.stats().as_tuple() == \
-                mp_size(inst.I, inst.J, inst.K, inst.V, inst.H, L).as_tuple()
+            blocks = [(sum(t), not budget_cannot_bind(inst, k)) for k, t in bundle.idx["blocks"]]
+            assert len(blocks) == K * min(L, 2)
+            assert bundle.model.stats().as_tuple() == mp_size(I, J, K, V, H, blocks).as_tuple()
 
     @pytest.mark.parametrize("dims,three_row_count", [
         ((12, 8, 4, 5, 3, 1), 2844), ((6, 4, 3, 5, 3, 0), 483), ((9, 6, 4, 5, 3, 2), 2960)])
     def test_three_row_layout_difference(self, dims, three_row_count):
-        # row counts of the master built with three McCormick rows per product
+        # row counts of the master built with L cuts of K blocks over every
+        # node, varrho = nu*z in three rows, and three McCormick rows per
+        # product; mp_size's docstring gives the per-block difference
         I, J, K, V, H, L = dims
-        assert mp_size(*dims).n_constraints + 2 * K * J * (V + H - 1) * (L + 1) == \
-            three_row_count
+        full_blocks = [(J, True)] * (K * L)
+        assert mp_size(I, J, K, V, H, full_blocks).n_constraints + 3 * J * K * L \
+            + 2 * K * J * (V + H - 1) * (L + 1) == three_row_count
 
     def test_audit_sees_every_product_family(self):
-        inst = tiny_gen(4)
-        cut = Cut(l=1, t_vectors=tuple(tuple(j % 2 for j in range(inst.J))
-                                       for _ in range(inst.K)))
-        bundle = build_master(inst, [cut])
-        I, J, K, V, H, L = bundle.dims
+        inst = make_manual_instance(K=2, B=[25.0, 1.5], psi=[[0.1, 0.5], [0.1, 0.5]])
+        bundle = build_master(inst, [Cut(t_vectors=((0, 1), (1, 1)))])
         links = bundle.registry.links
-        assert len(links) == K * J * (V + H) + L * K * J * (V + H + 1)
+        assert len(links) == inst.K * inst.J * (inst.V + inst.H) + 2 * (inst.V + inst.H)
         res = backend_solve_polished("highs", bundle.model)
         repair_dual_blocks(inst, bundle, res)
         assert linearization_audit(bundle, res) <= 1e-6
         names = [bundle.model.variables[U].name for U, _, _ in links]
-        for family in ("rho[", "zeta[", "kappa[", "pi[", "varrho["):
+        for family in ("rho[", "zeta[", "kappa[", "pi["):
             U = links[next(n for n, name in enumerate(names) if name.startswith(family))][0]
             res.values[U] += 0.5
             assert linearization_audit(bundle, res) >= 0.5 - 1e-9, family

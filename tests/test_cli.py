@@ -1,8 +1,11 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
+
+from edgeprice import cli
 
 
 def run_cli(*args):
@@ -138,3 +141,29 @@ class TestSweepAndAudit:
         assert res.returncode == 0
         assert "built=104" in res.stdout
         assert "audit: PASS" in res.stdout
+
+
+class TestStdoutGuard:
+    def test_fd1_goes_to_stderr_inside_the_guard(self, capfd):
+        with cli.stdout_to_stderr():
+            os.write(1, b"stray C-level line\n")
+        os.write(1, b"command output\n")
+        out, err = capfd.readouterr()
+        assert out == "command output\n"
+        assert err == "stray C-level line\n"
+
+    def test_compare_stdout_stays_json(self, tmp_path, capfd, monkeypatch):
+        inst = tmp_path / "inst.json"
+        run_cli("generate", "--areas", "3", "--nodes", "2", "--services", "1",
+                "--seed", "2", "-o", str(inst))
+        solve = cli.run_algorithm1
+
+        def noisy(*args, **kwargs):
+            os.write(1, b"HighsMipSolverData::transformNewIntegerFeasibleSolution\n")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_algorithm1", noisy)
+        assert cli.main(["compare", str(inst), "--out", str(tmp_path / "cmp")]) == 0
+        out, err = capfd.readouterr()
+        assert json.loads(out)["relative_difference"] <= 1e-6
+        assert "transformNewIntegerFeasibleSolution" in err

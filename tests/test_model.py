@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from edgeprice.model import BigMRegistry, MilpModel, ModelError, link_bin_cont, link_one_hot
+from edgeprice.model import BigMRegistry, MilpModel, ModelError, link_one_hot
 from edgeprice.solve import solve_lp
 
 
@@ -23,76 +23,21 @@ def feasible_range(model, target, fixes):
     return lo, hi
 
 
-def product_model(u_ub=4.0):
-    """u in [0, u_ub], binary b and a declared product U, linked."""
-    m = MilpModel()
-    u = m.add_var("u", ub=u_ub)
-    b = m.add_var("b", "binary")
-    U = m.add_var("U")
-    return m, u, b, link_bin_cont(m, U, u, b)
-
-
-class TestLinkBinCont:
-    def test_b_zero_forces_zero(self):
-        m, u, b, U = product_model()
-        lo, hi = feasible_range(m, U, {u: 2.5, b: 0})
-        assert lo.objective == pytest.approx(0.0, abs=1e-9)
-        assert hi.objective == pytest.approx(0.0, abs=1e-9)
-
-    def test_b_one_collapses_to_u(self):
-        m, u, b, U = product_model()
-        lo, hi = feasible_range(m, U, {u: 2.5, b: 1})
-        assert lo.objective == pytest.approx(2.5, abs=1e-9)
-        assert hi.objective == pytest.approx(2.5, abs=1e-9)
-
-    def test_grid_feasibility_iff_product(self):
-        # brute-force check over u in {0, M/2, M} x b in {0,1}
-        M = 6.0
-        for u_val, b_val in itertools.product((0.0, M / 2, M), (0, 1)):
-            m, u, b, U = product_model(M)
-            lo, hi = feasible_range(m, U, {u: u_val, b: b_val})
-            assert lo.objective == pytest.approx(u_val * b_val, abs=1e-9)
-            assert hi.objective == pytest.approx(u_val * b_val, abs=1e-9)
-
-    def test_relaxation_is_tight(self):
-        # the second row is U <= u: with u = 1, M = 4 and b = 0.5 the
-        # relaxation caps U at 1, where U <= u + M(1-b) left it M*b = 2
-        m, u, b, U = product_model(4.0)
-        m.add_constraint({b: 1.0}, "==", 0.5)
-        _, hi = feasible_range(m, U, {u: 1.0})
-        assert hi.objective == pytest.approx(1.0, abs=1e-9)
-
-    def test_rejects_bad_M_and_loose_bound(self):
-        # M is u's upper bound: it must be finite and positive, u >= 0,
-        # and the declared product must start at 0
-        for lb, ub in ((0.0, math.inf), (0.0, 0.0), (-1.0, 4.0)):
-            m = MilpModel()
-            u = m.add_var("u", lb=lb, ub=ub)
-            b = m.add_var("b", "binary")
-            U = m.add_var("U")
-            with pytest.raises(ModelError):
-                link_bin_cont(m, U, u, b)
-        m = MilpModel()
-        u = m.add_var("u", ub=4.0)
-        b = m.add_var("b", "binary")
-        U = m.add_var("U", lb=-1.0)
-        with pytest.raises(ModelError):
-            link_bin_cont(m, U, u, b)
-
-
-def one_hot_model(M=6.0, link=None):
+def one_hot_model(M=6.0, three_rows=False):
     """u in [0, M], a 3-level group b with sum(b) = 1, products U = u*b
-    linked by ``link`` (default link_one_hot) and their sum S."""
+    linked by link_one_hot (or three big-M rows per level) and their sum S."""
     m = MilpModel()
     u = m.add_var("u", ub=M)
     bs = [m.add_var(f"b{v}", "binary") for v in range(3)]
     m.add_constraint({b: 1.0 for b in bs}, "==", 1.0)
     Us = [m.add_var(f"U{v}") for v in range(3)]
-    if link is None:
-        link_one_hot(m, Us, u, bs)
-    else:
+    if three_rows:
         for U, b in zip(Us, bs):
-            link(m, U, u, b)
+            m.add_constraint({U: 1.0, b: -M}, "<=", 0.0)
+            m.add_constraint({U: 1.0, u: -1.0}, "<=", 0.0)
+            m.add_constraint({U: 1.0, u: -1.0, b: -M}, ">=", -M)
+    else:
+        link_one_hot(m, Us, u, bs)
     S = m.add_var("S")
     m.add_constraint({S: 1.0, **{U: -1.0 for U in Us}}, "==", 0.0)
     return m, u, bs, Us, S
@@ -111,11 +56,11 @@ class TestLinkOneHot:
 
     def test_relaxation_is_tight(self):
         # with b held at (0.5, 0.5, 0) the sum row keeps sum(U) = u; three
-        # link_bin_cont rows let it fall to max(0, 2u - M) (0 at u = M/2)
+        # big-M rows per level let it fall to max(0, 2u - M) (0 at u = M/2)
         M = 6.0
-        for link, u_val, want in ((None, M / 2, M / 2), (None, M, M),
-                                  (link_bin_cont, M / 2, 0.0)):
-            m, u, bs, _, S = one_hot_model(M, link)
+        for three_rows, u_val, want in ((False, M / 2, M / 2), (False, M, M),
+                                        (True, M / 2, 0.0)):
+            m, u, bs, _, S = one_hot_model(M, three_rows)
             for b, val in zip(bs, (0.5, 0.5, 0.0)):
                 m.add_constraint({b: 1.0}, "==", val)
             lo, _ = feasible_range(m, S, {u: u_val})

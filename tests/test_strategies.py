@@ -157,8 +157,9 @@ class TestAuditSizes:
         r1 = audit_sizes(5, 3, 2, 4, 2, 1)
         built0 = {e["component"]: e["built"] for e in r0["entries"] if e["model"] == "MP"}
         built1 = {e["component"]: e["built"] for e in r1["entries"] if e["model"] == "MP"}
-        want0 = mp_size(5, 3, 2, 4, 2, 0)
-        want1 = mp_size(5, 3, 2, 4, 2, 1)
+        # the one cut puts both services (budgets that cannot bind) on node 1
+        want0 = mp_size(5, 3, 2, 4, 2, [])
+        want1 = mp_size(5, 3, 2, 4, 2, [(1, False), (1, False)])
         assert built1["constraints"] - built0["constraints"] == \
             want1.n_constraints - want0.n_constraints
         assert built1["continuous"] - built0["continuous"] == \
