@@ -1,4 +1,4 @@
-"""Bounded-variable revised primal simplex on sparse matrices.
+"""Bounded-variable revised primal simplex with an explicit basis inverse.
 
 Two-phase method: phase 1 starts from a crash basis and minimizes the
 total infeasibility, phase 2 optimizes the true costs.  The crash
@@ -8,31 +8,40 @@ the slack's bounds, otherwise a column singleton (one nonzero, in that
 row) moved up from its finite lower bound when the move stays inside
 its bounds (Bixby 1992).  A covered row's artificial is locked at 0;
 artificials are basic only for the remaining rows, so a start that the
-crash makes feasible skips phase 1 altogether.  The crash basis is a
-permuted diagonal, so its factor is trivially nonsingular.
+crash makes feasible skips phase 1 altogether.
 The system is equilibrated first (iterative geometric row/column
 scaling), which the big-M rows of this package's models make
 essential: raw coefficients span eight orders of magnitude.
 
-The basis is kept as a SuperLU factorization refreshed periodically,
-with product-form eta updates in between.  Dantzig pricing with a
-lowest-index tie-break is the default; the solver falls back to
-Bland's rule automatically once a degeneracy counter trips.  Every
+The structural matrix is kept as its nonzeros (numpy arrays, column
+by column), and the slack (±e_i) and artificial columns stay implicit.
+Each basic slack or artificial covers its own row, so only the block K
+of the k structural basics on the remaining rows is inverted,
+explicitly: refreshed periodically from an LU factorization and
+updated in O(k²) per pivot in between (product form, Dantzig &
+Orchard-Hays 1954, and bordering or its reverse when a structural
+column replaces a unit column or the other way round).  A pivot costs
+O(nnz + m + n + k²) and memory is O(nnz + m + n + k²).  Dantzig
+pricing with a lowest-index tie-break is the default; the solver falls
+back to Bland's rule automatically once a degeneracy counter trips.  Every
 optimum is verified against the constraint system before it is
 returned; numerical distress (singular or near-singular basis, failed
-verification) restarts the solve with more frequent refactorization,
-ending in per-pivot mode.  All tie-breaking is deterministic.
+verification) restarts the solve with more frequent refreshes, ending
+in per-pivot mode.  All tie-breaking is deterministic.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.linalg as sla
 
 INF = np.inf
 
 AT_LB, AT_UB, NB_FREE, BASIC = 0, 1, 2, 3
+# the direction in which pricing may move a variable, by status
+_PRICE_SIGN = np.array([1.0, -1.0, 0.0, 0.0])
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -60,116 +69,258 @@ class LpSolution:
         self.iterations = iterations
 
 
-def _equilibrate(A, rounds=2):
-    """Iterative geometric-mean scaling; returns (row_scale, col_scale)."""
-    m, n = A.shape
-    r = np.ones(m)
-    c = np.ones(n)
-    if A.nnz == 0:
+class _Sparse:
+    """A matrix as its nonzeros, column by column; products run over
+    the nonzeros only (np.bincount sums each row or column in order)."""
+
+    def __init__(self, A):
+        if hasattr(A, "tocoo"):  # scipy sparse
+            A = A.tocoo()
+            A.sum_duplicates()
+            rows, cols, vals = A.row, A.col, A.data.astype(float)
+        else:
+            A = np.asarray(A, dtype=float)
+            rows, cols = np.nonzero(A)
+            vals = A[rows, cols]
+        self.m, self.n = A.shape
+        keep = np.flatnonzero(vals != 0.0)
+        order = keep[np.lexsort((rows[keep], cols[keep]))]
+        self.rows = rows[order].astype(np.intp)
+        self.cols = cols[order].astype(np.intp)
+        self.vals = vals[order]
+        self.colptr = np.concatenate([[0], np.cumsum(np.bincount(self.cols, minlength=self.n))])
+        self.rowptr = np.concatenate([[0], np.cumsum(np.bincount(self.rows, minlength=self.m))])
+        self.by_row = np.lexsort((self.cols, self.rows))
+
+    def times(self, x):
+        """A @ x"""
+        return np.bincount(self.rows, self.vals * x[self.cols], self.m)
+
+    def priced(self, y):
+        """y @ A"""
+        return np.bincount(self.cols, self.vals * y[self.rows], self.n)
+
+    def column(self, j):
+        a = np.zeros(self.m)
+        at = slice(self.colptr[j], self.colptr[j + 1])
+        a[self.rows[at]] = self.vals[at]
+        return a
+
+    def row(self, i):
+        a = np.zeros(self.n)
+        at = self.by_row[self.rowptr[i]:self.rowptr[i + 1]]
+        a[self.cols[at]] = self.vals[at]
+        return a
+
+    def block(self, rows, cols):
+        """Dense A[rows][:, cols]."""
+        ri = np.full(self.m, -1)
+        ri[rows] = np.arange(len(rows))
+        ci = np.full(self.n, -1)
+        ci[cols] = np.arange(len(cols))
+        at = np.flatnonzero((ri[self.rows] >= 0) & (ci[self.cols] >= 0))
+        K = np.zeros((len(rows), len(cols)))
+        K[ri[self.rows[at]], ci[self.cols[at]]] = self.vals[at]
+        return K
+
+    def equilibrate(self, rounds=2):
+        """Iterative geometric-mean scaling, applied in place; returns
+        (row_scale, col_scale)."""
+        rows, cols = self.rows, self.cols
+        r = np.ones(self.m)
+        c = np.ones(self.n)
+        row_cnt = np.diff(self.rowptr)
+        col_cnt = np.diff(self.colptr)
+        absA = np.abs(self.vals)
+        for _ in range(rounds):
+            has = row_cnt > 0
+            sums = np.bincount(rows, np.log2(absA * r[rows] * c[cols]), self.m)
+            r[has] *= np.exp2(-np.round(sums[has] / row_cnt[has]))
+            has = col_cnt > 0
+            sums = np.bincount(cols, np.log2(absA * r[rows] * c[cols]), self.n)
+            c[has] *= np.exp2(-np.round(sums[has] / col_cnt[has]))
+        self.vals = self.vals * r[rows] * c[cols]
         return r, c
-    work = A.tocoo()
-    for _ in range(rounds):
-        scaled = np.abs(work.data) * r[work.row] * c[work.col]
-        with np.errstate(divide="ignore"):
-            logs = np.log2(scaled, where=scaled > 0, out=np.zeros_like(scaled))
-        row_sum = np.zeros(m)
-        row_cnt = np.zeros(m)
-        np.add.at(row_sum, work.row, logs)
-        np.add.at(row_cnt, work.row, 1.0)
-        nz = row_cnt > 0
-        r[nz] *= np.exp2(-np.round(row_sum[nz] / row_cnt[nz]))
-        scaled = np.abs(work.data) * r[work.row] * c[work.col]
-        with np.errstate(divide="ignore"):
-            logs = np.log2(scaled, where=scaled > 0, out=np.zeros_like(scaled))
-        col_sum = np.zeros(n)
-        col_cnt = np.zeros(n)
-        np.add.at(col_sum, work.col, logs)
-        np.add.at(col_cnt, work.col, 1.0)
-        nz = col_cnt > 0
-        c[nz] *= np.exp2(-np.round(col_sum[nz] / col_cnt[nz]))
-    return r, c
+
+
+def _restoring_ratio(delta, xb, lob, hib, tol_r, piv_tol=1e-11):
+    """Ratio test of the composite phase: (step, position, leaves to upper).
+
+    A basic variable outside its bounds by more than tol_r stops at the
+    bound it violates (moving further out is the objective's business),
+    an in-bounds one at the bound it moves towards.  The smallest step
+    wins; ties within 1e-12 go to the largest |delta|, then to the lowest
+    position.  Nothing blocks: (INF, -1, False).
+    """
+    below = xb < lob - tol_r
+    above = xb > hib + tol_r
+    rise = delta > piv_tol
+    fall = delta < -piv_tol
+    to_ub = np.where(above, True, np.where(below, False, rise))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.maximum((np.where(to_ub, hib, lob) - xb) / delta, 0.0)
+    steps = np.where((rise & ~above) | (fall & ~below), steps, INF)
+    step = float(steps.min())
+    if step == INF:
+        return INF, -1, False
+    p = int(np.argmax(np.where(steps <= step + 1e-12, np.abs(delta), -1.0)))
+    return float(steps[p]), p, bool(to_ub[p])
+
+
+def _rank_one(a, x, y):
+    """a - outer(x, y): in place (BLAS dger, no k × k temporary) when a
+    is C-contiguous; x and y must not share a's memory."""
+    return sla.blas.dger(-1.0, y, x, a=a.T, overwrite_a=True).T
 
 
 class _Basis:
-    """LU factorization of the basis plus an eta file of pivot updates."""
+    """The basis as [[K, 0], [L, D]] up to permutation: unit columns D =
+    diag(±1) on the rows they cover, K = A[rows_t, cols_t] on the rest,
+    with cols_t the structural basics.  K⁻¹ is kept explicitly; covered
+    rows are substituted."""
 
-    def __init__(self, A_csc, basis_cols):
-        self.A = A_csc
-        self.refactor(basis_cols)
+    def __init__(self, A, art_sign):
+        self.A = A  # a _Sparse
+        self.m, self.n = A.m, A.n
+        self.art_sign = art_sign
 
-    def refactor(self, basis_cols):
-        B = self.A[:, basis_cols].tocsc()
-        try:
-            self.lu = spla.splu(B, permc_spec="COLAMD",
-                                options={"SymmetricMode": False})
-        except RuntimeError as exc:
-            raise _NumericalDistress(str(exc)) from exc
-        diag = np.abs(self.lu.U.diagonal())
-        if diag.size and diag.min() < 1e-12 * max(1.0, diag.max()):
+    def refresh(self, basis, crash=False):
+        n, m = self.n, self.m
+        unit = basis >= n
+        rows = (basis - n) % m
+        pos = np.flatnonzero(unit)
+        # per position, the row its unit column covers; per row, the
+        # position and sign of the unit column covering it (sign 0: none)
+        self.row_of_pos = np.where(unit, rows, 0)
+        self.pos_of_row = np.zeros(m, dtype=np.intp)
+        self.pos_of_row[rows[pos]] = pos
+        self.sign_row = np.zeros(m)
+        self.sign_row[rows[pos]] = np.where(basis[pos] < n + m, 1.0, self.art_sign[rows[pos]])
+        if np.count_nonzero(self.sign_row) < pos.size:
+            raise _NumericalDistress("two unit columns cover one row")
+        self.pos_t = np.flatnonzero(~unit)
+        self.cols_t = basis[self.pos_t]
+        self.rows_t = np.flatnonzero(self.sign_row == 0.0)
+        k = self.pos_t.size
+        self.slot = np.full(m, -1)  # position -> index in pos_t
+        self.slot[self.pos_t] = np.arange(k)
+        self.tslot = np.full(m, -1)  # row -> index in rows_t
+        self.tslot[self.rows_t] = np.arange(k)
+        K = self.A.block(self.rows_t, self.cols_t)
+        if crash:  # the crash covers row i with position i: K is diagonal
+            self.inv = np.diag(1.0 / np.diag(K))
+            return
+        self.inv = np.zeros((0, 0))
+        if k == 0:
+            return
+        with warnings.catch_warnings():
+            # an exactly zero pivot fails the test below
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu, piv = sla.lu_factor(K, check_finite=False)
+        diag = np.abs(np.diag(lu))
+        if diag.min() < 1e-12 * max(1.0, diag.max()):
             raise _NumericalDistress("near-singular basis factor")
-        self.etas = []
+        self.inv = sla.lu_solve((lu, piv), np.eye(k), check_finite=False)
 
     def ftran(self, v):
-        x = self.lu.solve(v)
-        for p, w in self.etas:
-            xp = x[p] / w[p]
-            if xp != 0.0:
-                x -= w * xp
-            x[p] = xp
-        return x
+        u = self.inv @ v[self.rows_t]
+        x = np.zeros(self.n)
+        x[self.cols_t] = u
+        w = ((v - self.A.times(x)) * self.sign_row)[self.row_of_pos]
+        w[self.pos_t] = u
+        return w
 
-    def btran(self, v):
-        y = v.copy()
-        for p, w in reversed(self.etas):
-            s = w @ y
-            y[p] = (y[p] - (s - w[p] * y[p])) / w[p]
-        return self.lu.solve(y, trans="T")
+    def btran(self, cb):
+        y = cb[self.pos_of_row] * self.sign_row
+        r = cb[self.pos_t]
+        if y.any():
+            r = r - self.A.priced(y)[self.cols_t]
+        y[self.rows_t] = r @ self.inv
+        return y
 
-    def update(self, p, w):
-        self.etas.append((p, w.copy()))
+    def update(self, p, q, w):
+        """Variable q enters at basis position p; w is its ftran."""
+        n, m, inv = self.n, self.m, self.inv
+        j = self.slot[p]
+        if q < n:
+            u = w[self.pos_t]
+            if j >= 0:  # product form
+                row = inv[j] / u[j]
+                self.inv = inv = _rank_one(inv, u, row)
+                inv[j] = row
+                self.cols_t[j] = q
+                return
+            # K gains row r, which the leaving unit column covered, and column q
+            r, k = self.row_of_pos[p], u.size
+            sigma = w[p] * self.sign_row[r]
+            v = self.A.row(r)[self.cols_t] @ inv / sigma
+            grown = np.zeros((k + 1, k + 1))
+            grown[:k, :k] = inv
+            # [[inv + u v, -u/sigma], [-v, 1/sigma]]
+            self.inv = _rank_one(grown, np.append(-u, 1.0), np.append(v, -1.0 / sigma))
+            self.pos_t = np.append(self.pos_t, p)
+            self.cols_t = np.append(self.cols_t, q)
+            self.rows_t = np.append(self.rows_t, r)
+            self.slot[p], self.tslot[r], self.sign_row[r] = k, k, 0.0
+            return
+        r = (q - n) % m
+        i = self.tslot[r]
+        if j >= 0:  # K loses row r and column j; the last ones take their places
+            inv = _rank_one(inv, inv[:, i].copy(), inv[j] / inv[j, i])
+            k = inv.shape[0] - 1
+            inv[j] = inv[k]
+            inv[:, i] = inv[:, k]
+            self.inv = inv[:k, :k]
+            for a, at in ((self.pos_t, j), (self.cols_t, j), (self.rows_t, i)):
+                a[at] = a[k]
+            self.pos_t, self.cols_t, self.rows_t = self.pos_t[:k], self.cols_t[:k], self.rows_t[:k]
+            self.slot[self.pos_t[j:j + 1]] = j
+            self.tslot[self.rows_t[i:i + 1]] = i
+            self.slot[p] = self.tslot[r] = -1
+        elif i >= 0:  # K's row r becomes the row the leaving unit column covered
+            r_old = self.row_of_pos[p]
+            col = inv[:, i].copy()
+            g = self.A.row(r_old)[self.cols_t] @ inv
+            g[i] -= 1.0
+            self.inv = _rank_one(inv, col, g / (g[i] + 1.0))
+            self.rows_t[i], self.tslot[r_old], self.tslot[r] = r_old, i, -1
+            self.sign_row[r_old] = 0.0
+        self.row_of_pos[p], self.pos_of_row[r] = r, p
+        self.sign_row[r] = 1.0 if q < n + m else self.art_sign[r]
 
 
 class BoundedSimplex:
-    """min c'x  s.t.  A x (<=,==,>=) b,  lb <= x <= ub (infinities allowed)."""
+    """min c'x  s.t.  A x (<=,==,>=) b,  lb <= x <= ub (infinities allowed).
+
+    A is a dense array or a scipy sparse matrix.
+    """
 
     def __init__(self, A, b, senses, feas_tol=1e-7, refactor_every=80,
                  max_iterations=None):
-        A = sp.csc_matrix(A)
-        self.m, self.n = A.shape
+        self._A = _Sparse(A)
+        self.m, self.n = self._A.m, self._A.n
         self.b_orig = np.asarray(b, dtype=float)
         self.senses = list(senses)
         self.feas_tol = feas_tol
         self.refactor_every = refactor_every
         self.max_iterations = max_iterations
 
-        self.row_scale, self.col_scale = _equilibrate(A)
-        entry_col = np.repeat(np.arange(self.n), np.diff(A.indptr))
-        self.A_scaled = sp.csc_matrix(
-            (A.data * self.row_scale[A.indices] * self.col_scale[entry_col],
-             A.indices, A.indptr), shape=A.shape)
+        self.row_scale, self.col_scale = self._A.equilibrate()
         self.b_scaled = self.row_scale * self.b_orig
 
         # column singletons of the scaled matrix, by ascending column:
         # the crash basis may use them to cover their row
-        A_s = self.A_scaled
-        nonzero = A_s.data != 0.0
-        count = np.bincount(entry_col[nonzero], minlength=self.n)
-        single = nonzero & (count[entry_col] == 1)
-        self._single_col = entry_col[single]
-        self._single_row = A_s.indices[single]
-        self._single_coef = A_s.data[single]
+        A = self._A
+        self._single_col = np.flatnonzero(np.diff(A.colptr) == 1)
+        self._single_row = A.rows[A.colptr[self._single_col]]
+        self._single_coef = A.vals[A.colptr[self._single_col]]
 
-        self.slack_lb = np.zeros(self.m)
-        self.slack_ub = np.zeros(self.m)
-        for i, sense in enumerate(self.senses):
-            if sense == "<=":
-                self.slack_lb[i], self.slack_ub[i] = 0.0, INF
-            elif sense == ">=":
-                self.slack_lb[i], self.slack_ub[i] = -INF, 0.0
-            elif sense == "==":
-                self.slack_lb[i], self.slack_ub[i] = 0.0, 0.0
-            else:
-                raise ValueError(f"bad sense {sense!r}")
+        bad = set(self.senses) - {"<=", ">=", "=="}
+        if bad:
+            raise ValueError(f"bad sense {bad.pop()!r}")
+        senses = np.array(self.senses, dtype=str)
+        self.slack_lb = np.where(senses == ">=", -INF, 0.0)
+        self.slack_ub = np.where(senses == "<=", INF, 0.0)
 
     def solve(self, c, lb, ub):
         c = np.asarray(c, dtype=float)
@@ -180,14 +331,19 @@ class BoundedSimplex:
         if self.m == 0:
             return self._solve_unconstrained(c, lb, ub)
         schedule = [self.refactor_every, 16, 4, 1]
+        spent = 0  # pivots of abandoned attempts; the limit is per attempt
         for attempt, every in enumerate(schedule):
             self._refactor_every = every
             try:
-                return self._attempt(c, lb, ub)
+                sol = self._attempt(c, lb, ub)
             except _NumericalDistress:
+                spent += self._iters
                 if attempt == len(schedule) - 1:
                     raise SimplexFailure(
                         "numerical distress survived per-pivot refactorization")
+                continue
+            sol.iterations += spent
+            return sol
         raise AssertionError("unreachable")
 
     def _attempt(self, c, lb, ub):
@@ -209,7 +365,7 @@ class BoundedSimplex:
 
         # every slack sits at 0 here, so a row's slack can take the whole
         # residual as its basic value exactly when that stays in its bounds
-        resid = self.b_scaled - self.A_scaled @ x[:n]
+        resid = self.b_scaled - self._A.times(x[:n])
         slack_basic = (self.slack_lb <= resid) & (resid <= self.slack_ub)
         # a row its slack cannot cover takes the first column singleton
         # that absorbs the residual by moving up from its finite lower
@@ -225,9 +381,9 @@ class BoundedSimplex:
         covered = slack_basic.copy()
         covered[single_rows] = True
 
-        art_sign = np.where(resid >= 0.0, 1.0, -1.0)
-        A_all = sp.hstack([self.A_scaled, sp.identity(m, format="csc"),
-                           sp.diags(art_sign, format="csc")], format="csc")
+        # slack i is column e_i and artificial i is art_sign[i]·e_i; both
+        # stay implicit: column n + i and n + m + i touch row i only
+        self._art_sign = np.where(resid >= 0.0, 1.0, -1.0)
         lo = np.concatenate([lo, np.zeros(m)])
         hi = np.concatenate([hi, np.where(covered, 0.0, INF)])
         x = np.concatenate([x[:n], np.where(slack_basic, resid, 0.0),
@@ -237,12 +393,12 @@ class BoundedSimplex:
         basis[single_rows] = single_cols
         status = np.concatenate([status, np.full(m, AT_LB, dtype=np.int8)])
         status[basis] = BASIC
-
-        self._A = A_all
-        self._AT = A_all.T.tocsr()
         self._lo, self._hi = lo, hi
         self._x, self._status, self._basis = x, status, basis
-        self._fact = _Basis(A_all, basis)
+        # the crash basis covers row i with position i: its structural
+        # block is the diagonal of the singletons' coefficients
+        self._fact = _Basis(self._A, self._art_sign)
+        self._fact.refresh(basis, crash=True)
         self._total = n + m + m
         self._iters = 0
         self._limit = self.max_iterations or max(20000, 60 * (m + n))
@@ -284,11 +440,9 @@ class BoundedSimplex:
 
         xs = self._x[:n] * cs
         obj = float(c @ xs)
-        cB = c2[self._basis]
-        y_scaled = self._fact.btran(cB)
-        rc_scaled = c2 - (self._AT @ y_scaled)
-        duals = (y_scaled[:m].copy() * self.row_scale) if m else np.zeros(0)
-        rc = rc_scaled[:n] / cs
+        y_scaled = self._fact.btran(c2[self._basis])
+        duals = y_scaled * self.row_scale
+        rc = (c_s - self._A.priced(y_scaled)) / cs
         return LpSolution(OPTIMAL, x=xs, obj=obj, duals=duals,
                           reduced_costs=rc, iterations=self._iters)
 
@@ -296,7 +450,7 @@ class BoundedSimplex:
         """Max violation of rows and bounds at the current scaled point."""
         n, m = self.n, self.m
         x = self._x
-        resid = self.b_scaled - self.A_scaled @ x[:n] - x[n:n + m]
+        resid = self.b_scaled - self._A.times(x[:n]) - x[n:n + m]
         art = x[n + m:]
         worst = np.abs(resid).max(initial=0.0) + np.abs(art).max(initial=0.0)
         lo_viol = np.maximum(self._lo[:n + m] - x[:n + m], 0.0)
@@ -307,11 +461,9 @@ class BoundedSimplex:
     # -- core loop -----------------------------------------------------
 
     def _optimize(self, c, phase):
-        AT = self._AT
         lo, hi = self._lo, self._hi
-        x, status, basis = self._x, self._status, self._basis
+        x, basis = self._x, self._basis
         fact = self._fact
-        m = self.m
         dual_tol = 1e-9 * (1.0 + np.abs(c).max(initial=0.0))
         piv_tol = 1e-11
         damage_budget = 1e-9
@@ -325,19 +477,13 @@ class BoundedSimplex:
                 return ITER_LIMIT
             self._iters += 1
 
-            cB = c[basis]
-            y = fact.btran(cB)
-            d = c - (AT @ y)
-
+            d = self._reduced_costs(c, fact.btran(c[basis]))
             viol = self._pricing(d, movable)
-            candidates = np.nonzero(viol < -dual_tol)[0]
-            if candidates.size == 0:
+            q = int(viol.argmin())
+            if viol[q] >= -dual_tol:
                 return OPTIMAL
-
             if bland:
-                q = int(candidates[0])
-            else:
-                q = int(candidates[np.argmin(viol[candidates])])
+                q = int(np.argmax(viol < -dual_tol))
 
             direction = 1.0 if (d[q] < 0) else -1.0
             w = fact.ftran(self._column(q))
@@ -349,50 +495,39 @@ class BoundedSimplex:
             xb = x[basis]
             lob = lo[basis]
             hib = hi[basis]
-            pos = delta > piv_tol
-            neg = delta < -piv_tol
-            room = np.full(m, INF)
-            room[pos] = hib[pos] - xb[pos]
-            room[neg] = xb[neg] - lob[neg]
-            blocked = (pos | neg) & np.isfinite(room)
+            room = np.where(delta > piv_tol, hib - xb,
+                            np.where(delta < -piv_tol, xb - lob, INF))
+            blocked = room < INF
             room = np.maximum(room, 0.0)
 
-            flip_theta = INF
-            if np.isfinite(lo[q]) and np.isfinite(hi[q]):
-                flip_theta = hi[q] - lo[q]
-
+            flip_theta = hi[q] - lo[q]  # INF unless both bounds are finite
             if not blocked.any():
                 if np.isfinite(flip_theta):
-                    x[basis] -= direction * flip_theta * w
-                    x[q] = hi[q] if status[q] == AT_LB else lo[q]
-                    status[q] = AT_UB if status[q] == AT_LB else AT_LB
+                    self._flip(q, direction, w)
                     continue
                 if phase == 1:
                     raise _NumericalDistress("phase-1 objective unbounded")
                 return UNBOUNDED
 
+            # an unblocked row has room INF, so its ratios are INF too
             absdelta = np.abs(delta)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(blocked, room / absdelta, INF)
-                capped = np.where(blocked, (room + damage_budget) / absdelta, INF)
+            ratios = room / absdelta
+            capped = (room + damage_budget) / absdelta
             theta_max = min(float(capped.min()), flip_theta)
-            cand = blocked & (ratios <= theta_max + 1e-15)
+            cand = ratios <= theta_max + 1e-15
             if not cand.any():
                 # only the relaxed caps block; take the tightest exact ratio
-                cand = blocked & (ratios <= float(ratios.min()) + 1e-15)
+                cand = ratios <= float(ratios.min()) + 1e-15
             if bland:
                 order = np.nonzero(cand)[0]
                 leave_pos = int(order[np.argmin(basis[order])])
             else:
                 masked = np.where(cand, absdelta, -1.0)
-                leave_pos = int(np.argmax(masked))
+                leave_pos = int(masked.argmax())
             theta = float(ratios[leave_pos])
-            leave_to_ub = bool(delta[leave_pos] > 0)
 
             if flip_theta <= theta:
-                x[basis] -= direction * flip_theta * w
-                x[q] = hi[q] if status[q] == AT_LB else lo[q]
-                status[q] = AT_UB if status[q] == AT_LB else AT_LB
+                self._flip(q, direction, w)
                 continue
 
             if theta <= 1e-12:
@@ -402,20 +537,11 @@ class BoundedSimplex:
             else:
                 degen_run = 0
 
-            x[basis] -= direction * theta * w
-            x[q] = x[q] + direction * theta
-            leaving = basis[leave_pos]
-            x[leaving] = hi[leaving] if leave_to_ub else lo[leaving]
-            status[leaving] = AT_UB if leave_to_ub else AT_LB
-            status[q] = BASIC
-            basis[leave_pos] = q
-
-            fact.update(leave_pos, w)
+            self._pivot(q, leave_pos, direction, theta, w, bool(delta[leave_pos] > 0))
             pivots_since_refactor += 1
             if pivots_since_refactor >= self._refactor_every:
-                fact.refactor(basis)
+                self._refresh()
                 pivots_since_refactor = 0
-                self._recompute_basics()
 
     def _restore_feasibility(self, max_pivots=2000):
         """Composite phase: pivot basic bound violations back to zero.
@@ -426,133 +552,108 @@ class BoundedSimplex:
         they violate (arriving there makes them feasible), in-bounds
         variables block as usual.
         """
-        AT = self._AT
         lo, hi = self._lo, self._hi
-        x, status, basis = self._x, self._status, self._basis
+        x, basis = self._x, self._basis
         fact = self._fact
-        m = self.m
         tol_r = 1e-9
-        piv_tol = 1e-11
         movable = lo < hi
+        pivots_since_refactor = 0
 
         for _ in range(max_pivots):
             self._iters += 1
-            xb = x[basis]
-            below = xb < lo[basis] - tol_r
-            above = xb > hi[basis] + tol_r
+            xb, lob, hib = x[basis], lo[basis], hi[basis]
+            below = xb < lob - tol_r
+            above = xb > hib + tol_r
             if not (below.any() or above.any()):
-                fact.refactor(basis)
-                self._recompute_basics()
+                self._refresh()
                 return True
-            cB = np.where(below, -1.0, np.where(above, 1.0, 0.0))
-            y = fact.btran(cB)
-            d = -(AT @ y)
+            y = fact.btran(np.where(below, -1.0, np.where(above, 1.0, 0.0)))
+            d = self._reduced_costs(np.zeros(self._total), y)
             viol = self._pricing(d, movable)
-            candidates = np.nonzero(viol < -1e-10)[0]
-            if candidates.size == 0:
+            q = int(np.argmin(viol))
+            if viol[q] >= -1e-10:
                 return False  # no entering column can reduce the violation
-            q = int(candidates[np.argmin(viol[candidates])])
             direction = 1.0 if d[q] < 0 else -1.0
             w = fact.ftran(self._column(q))
-            delta = -direction * w
-
-            best_t, best_pos, best_to_ub, best_mag = INF, -1, False, 0.0
-            for i in range(m):
-                di = delta[i]
-                if abs(di) <= piv_tol:
-                    continue
-                bi = basis[i]
-                xi = x[bi]
-                if xi < lo[bi] - tol_r:
-                    if di <= 0:
-                        continue  # moving further below: objective handles it
-                    t = (lo[bi] - xi) / di
-                    to_ub = False
-                elif xi > hi[bi] + tol_r:
-                    if di >= 0:
-                        continue
-                    t = (xi - hi[bi]) / (-di)
-                    to_ub = True
-                elif di > 0:
-                    if np.isinf(hi[bi]):
-                        continue
-                    t = max(hi[bi] - xi, 0.0) / di
-                    to_ub = True
-                else:
-                    if np.isinf(lo[bi]):
-                        continue
-                    t = max(xi - lo[bi], 0.0) / (-di)
-                    to_ub = False
-                if t < best_t - 1e-12 or (t <= best_t + 1e-12 and abs(di) > best_mag):
-                    best_t, best_pos, best_to_ub, best_mag = t, i, to_ub, abs(di)
-            flip_theta = INF
-            if np.isfinite(lo[q]) and np.isfinite(hi[q]):
-                flip_theta = hi[q] - lo[q]
-            if flip_theta <= best_t:
-                x[basis] -= direction * flip_theta * w
-                x[q] = hi[q] if status[q] == AT_LB else lo[q]
-                status[q] = AT_UB if status[q] == AT_LB else AT_LB
+            best_t, best_pos, leave_to_ub = _restoring_ratio(-direction * w, xb, lob, hib, tol_r)
+            flip_theta = hi[q] - lo[q]
+            if flip_theta < INF and flip_theta <= best_t:
+                self._flip(q, direction, w)
                 continue
-            if best_pos == -1:
+            if best_pos < 0:
                 return False
-            theta = best_t
-            x[basis] -= direction * theta * w
-            x[q] = x[q] + direction * theta
-            leaving = basis[best_pos]
-            x[leaving] = hi[leaving] if best_to_ub else lo[leaving]
-            status[leaving] = AT_UB if best_to_ub else AT_LB
-            status[q] = BASIC
-            basis[best_pos] = q
-            fact.update(best_pos, w)
-            if len(fact.etas) >= 20:
-                fact.refactor(basis)
-                self._recompute_basics()
+            self._pivot(q, best_pos, direction, best_t, w, leave_to_ub)
+            pivots_since_refactor += 1
+            if pivots_since_refactor >= 20:
+                self._refresh()
+                pivots_since_refactor = 0
         return False
 
-    def _pricing(self, d, movable):
-        """Per-variable pricing violation of reduced costs d (<= 0).
+    # -- pivot bookkeeping -----------------------------------------------
 
-        Basic and fixed variables (a locked artificial is fixed at 0)
-        get 0: moving a fixed variable is a bound flip of length zero.
-        """
+    def _pricing(self, d, movable):
+        """Per-variable pricing violation of reduced costs d (<= 0): a
+        variable may rise from its lower bound, fall from its upper bound,
+        or move either way when free; basic and fixed variables (a locked
+        artificial is fixed at 0) may not move."""
         status = self._status
-        viol = np.zeros(self._total)
-        at_lb = status == AT_LB
-        at_ub = status == AT_UB
+        viol = np.minimum(_PRICE_SIGN[status] * movable * d, 0.0)
         free = status == NB_FREE
-        viol[at_lb] = np.minimum(d[at_lb], 0.0)
-        viol[at_ub] = -np.maximum(d[at_ub], 0.0)
-        viol[free] = -np.abs(d[free])
-        viol[~movable] = 0.0
+        if free.any():
+            viol[free] = -np.abs(d[free])
         return viol
 
+    def _flip(self, q, direction, w):
+        """Move nonbasic q to its other bound; the basic variables follow."""
+        lo, hi, x, status = self._lo, self._hi, self._x, self._status
+        x[self._basis] -= direction * (hi[q] - lo[q]) * w
+        to_ub = status[q] == AT_LB
+        x[q] = hi[q] if to_ub else lo[q]
+        status[q] = AT_UB if to_ub else AT_LB
+
+    def _pivot(self, q, p, direction, theta, w, leave_to_ub):
+        """q enters at basis position p after a step theta; the leaving
+        variable goes to its upper bound if leave_to_ub, else its lower."""
+        lo, hi, x, status, basis = self._lo, self._hi, self._x, self._status, self._basis
+        x[basis] -= direction * theta * w
+        x[q] = x[q] + direction * theta
+        leaving = basis[p]
+        x[leaving] = hi[leaving] if leave_to_ub else lo[leaving]
+        status[leaving] = AT_UB if leave_to_ub else AT_LB
+        status[q] = BASIC
+        basis[p] = q
+        self._fact.update(p, q, w)
+
+    def _refresh(self):
+        """Invert the basis afresh and recompute the basic values."""
+        self._fact.refresh(self._basis)
+        self._recompute_basics()
+
+    def _reduced_costs(self, c, y):
+        """c minus the row prices y of every column, slacks and artificials
+        included."""
+        return c - np.concatenate([self._A.priced(y), y, self._art_sign * y])
+
     def _column(self, q):
-        """Dense copy of column q of the working matrix."""
-        A = self._A
-        start, stop = A.indptr[q], A.indptr[q + 1]
+        """Column q of the working matrix, as a dense vector."""
+        if q < self.n:
+            return self._A.column(q)
+        i = (q - self.n) % self.m
         a_q = np.zeros(self.m)
-        a_q[A.indices[start:stop]] = A.data[start:stop]
+        a_q[i] = 1.0 if q < self.n + self.m else self._art_sign[i]
         return a_q
 
     def _recompute_basics(self):
-        nb_mask = self._status != BASIC
-        x_nb = np.where(nb_mask, self._x, 0.0)
-        rhs = self.b_scaled - self._A @ x_nb
-        xB = self._fact.ftran(rhs)
-        self._x[self._basis] = xB
+        n, m = self.n, self.m
+        x_nb = np.where(self._status != BASIC, self._x, 0.0)
+        rhs = (self.b_scaled - self._A.times(x_nb[:n]) - x_nb[n:n + m]
+               - self._art_sign * x_nb[n + m:])
+        self._x[self._basis] = self._fact.ftran(rhs)
 
     def _solve_unconstrained(self, c, lb, ub):
-        x = np.zeros(self.n)
-        for j in range(self.n):
-            if c[j] > 0:
-                if not np.isfinite(lb[j]):
-                    return LpSolution(UNBOUNDED)
-                x[j] = lb[j]
-            elif c[j] < 0:
-                if not np.isfinite(ub[j]):
-                    return LpSolution(UNBOUNDED)
-                x[j] = ub[j]
-            else:
-                x[j] = lb[j] if np.isfinite(lb[j]) else (ub[j] if np.isfinite(ub[j]) else 0.0)
+        start = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
+        x = np.where(c > 0, lb, np.where(c < 0, ub, start))
+        if not np.isfinite(x).all():
+            return LpSolution(UNBOUNDED)
         return LpSolution(OPTIMAL, x=x, obj=float(c @ x), duals=np.zeros(0),
                           reduced_costs=c.copy(), iterations=0)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from edgeprice.instance import GenConfig, Instance, generate
@@ -12,6 +13,24 @@ else:
     settings.register_profile("edgeprice", derandomize=True, deadline=None,
                               max_examples=60, database=None)
     settings.load_profile("edgeprice")
+
+
+TOL = 1e-7
+
+
+def assert_dual_certificate(res, A, b, senses, c, lb, ub, mult):
+    """The duals prove the objective: right signs and no duality gap."""
+    y = mult * res.duals  # as for min (mult*c)'x, whose <= rows price <= 0
+    for r, sense in enumerate(senses):
+        if sense == "<=":
+            assert y[r] <= TOL
+        elif sense == ">=":
+            assert y[r] >= -TOL
+    red = mult * c - A.T @ y
+    bounded = np.isfinite(ub)
+    assert np.all(red[~bounded] >= -TOL)  # no upper bound to price a negative cost
+    dual_obj = b @ y + np.where(red > 0, red * lb, red * np.where(bounded, ub, 0.0)).sum()
+    assert abs(dual_obj - mult * res.objective) <= 1e-6 * (1 + abs(res.objective))
 
 
 def rel_close(a, b, tol=1e-6):

@@ -20,13 +20,12 @@ dual is unique.
 import numpy as np
 import pytest
 
+from conftest import TOL, assert_dual_certificate
 from edgeprice.model import MilpModel
 from edgeprice.solve import STATUS_OPTIMAL, get_backend, solve_lp
 
 given = pytest.importorskip("hypothesis").given
 st = pytest.importorskip("hypothesis.strategies")
-
-TOL = 1e-7
 
 
 @st.composite
@@ -68,21 +67,6 @@ def bounded_lps(draw):
         mdl.add_constraint({j: A[r, j] for j in range(n)}, senses[r], b[r])
     mdl.set_objective({j: c[j] for j in range(n)})
     return mdl.finalize(), A, b, senses, c, lb, ub
-
-
-def assert_dual_certificate(res, A, b, senses, c, lb, ub, mult):
-    """The duals prove the objective: right signs and no duality gap."""
-    y = mult * res.duals  # as for min (mult*c)'x, whose <= rows price <= 0
-    for r, sense in enumerate(senses):
-        if sense == "<=":
-            assert y[r] <= TOL
-        elif sense == ">=":
-            assert y[r] >= -TOL
-    red = mult * c - A.T @ y
-    bounded = np.isfinite(ub)
-    assert np.all(red[~bounded] >= -TOL)  # no upper bound to price a negative cost
-    dual_obj = b @ y + np.where(red > 0, red * lb, red * np.where(bounded, ub, 0.0)).sum()
-    assert abs(dual_obj - mult * res.objective) <= 1e-6 * (1 + abs(res.objective))
 
 
 def nondegenerate(x, A, b, senses, lb, ub):

@@ -1,0 +1,185 @@
+"""The built-in simplex's refresh, restart and restoration paths, and
+its basis updates.
+
+The property tests' LPs have at most five rows and never reach a
+refresh of the basis inverse.  These tests use one base-preset
+fixed-placement LP (I=12, J=8, 146 rows, over 100 pivots), which
+does, and check each kind of basis update against a dense solve.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from conftest import assert_dual_certificate
+from edgeprice import follower, simplex
+from edgeprice.instance import GenConfig, generate
+from edgeprice.simplex import OPTIMAL, BoundedSimplex
+from edgeprice.solve import STATUS_OPTIMAL, _ModelCore, get_backend, polish_binaries
+
+
+@pytest.fixture(scope="module")
+def base_lp():
+    """Service 3 of base seed 0 at the lowest prices, every node active,
+    placed nowhere: a 146-row LP that takes over 100 pivots."""
+    inst = generate(GenConfig(seed=0, I=12, J=8, K=4))
+    leader = follower.LeaderDecision.from_prices(
+        inst, p=[grid[0] for grid in inst.p_grid], ps=[grid[0] for grid in inst.ps_grid],
+        z=[1] * inst.J)
+    model, h = follower.build_follower_milp(inst, 3, leader)
+    core = _ModelCore(model)
+    lb, ub = core.lb.copy(), core.ub.copy()
+    lb[h["t"]] = ub[h["t"]] = 0.0
+    highs = polish_binaries(model, {i: 0.0 for i in h["t"]}, get_backend("highs").solve_lp)
+    assert highs.status == STATUS_OPTIMAL and core.sense_mult == 1.0
+    return core, lb, ub, highs
+
+
+def solve(core, lb, ub, **kwargs):
+    return BoundedSimplex(core.A, core.b, core.senses, **kwargs).solve(core.c, lb, ub)
+
+
+@pytest.mark.parametrize("every", [80, 16, 4, 1])
+def test_refreshes_keep_the_optimum_and_its_certificate(base_lp, every):
+    core, lb, ub, highs = base_lp
+    sol = solve(core, lb, ub, refactor_every=every)
+    assert sol.status == OPTIMAL
+    assert sol.iterations > 80
+    objective = sol.obj + core.offset
+    assert abs(objective - highs.objective) <= 1e-9 * abs(highs.objective)
+    assert_dual_certificate(SimpleNamespace(duals=sol.duals, objective=sol.obj),
+                            core.A, core.b, core.senses, core.c, lb, ub, 1.0)
+
+
+def test_abandoned_attempt_pivots_are_counted(base_lp, monkeypatch):
+    """The first refresh raises, so the solve restarts refreshing every
+    16 pivots; its iterations are those of both attempts."""
+    core, lb, ub, _ = base_lp
+    clean = solve(core, lb, ub, refactor_every=16)
+    real = BoundedSimplex._refresh
+    abandoned = []
+
+    def first_refresh_fails(self):
+        if not abandoned:
+            abandoned.append(self._iters)
+            raise simplex._NumericalDistress("injected")
+        real(self)
+
+    monkeypatch.setattr(BoundedSimplex, "_refresh", first_refresh_fails)
+    sol = solve(core, lb, ub, refactor_every=80)
+    assert abandoned and abandoned[0] >= 80
+    assert sol.status == OPTIMAL
+    assert sol.obj == pytest.approx(clean.obj, rel=1e-12)
+    assert sol.iterations == clean.iterations + abandoned[0]
+
+
+def test_restore_feasibility_repairs_a_pushed_basic_variable(base_lp):
+    """Tighten a basic variable's upper bound below its value, as ratio
+    test damage would leave it; the composite phase pivots it back."""
+    core, lb, ub, _ = base_lp
+    eng = BoundedSimplex(core.A, core.b, core.senses)
+    assert eng.solve(core.c, lb, ub).status == OPTIMAL
+    x, lo, hi = eng._x, eng._lo, eng._hi
+    inside = [j for j in eng._basis if j < eng.n and x[j] > lo[j] + 1e-3]
+    j = inside[0]
+    hi[j] = lo[j] + 0.5 * (x[j] - lo[j])
+    assert eng._infeasibility() > 1e-4
+    assert eng._restore_feasibility()
+    assert eng._infeasibility() <= 1e-9
+    assert np.all(eng._x >= lo - 1e-9) and np.all(eng._x <= hi + 1e-9)
+
+
+def loop_restoring_ratio(delta, xb, lob, hib, tol_r, piv_tol=1e-11):
+    """Reference: the composite phase's ratio test as a loop over rows."""
+    best_t, best_pos, best_to_ub, best_mag = np.inf, -1, False, 0.0
+    for i, di in enumerate(delta):
+        if abs(di) <= piv_tol:
+            continue
+        xi, lo, hi = xb[i], lob[i], hib[i]
+        if xi < lo - tol_r:
+            if di <= 0:
+                continue
+            t, to_ub = (lo - xi) / di, False
+        elif xi > hi + tol_r:
+            if di >= 0:
+                continue
+            t, to_ub = (xi - hi) / -di, True
+        elif di > 0:
+            if np.isinf(hi):
+                continue
+            t, to_ub = max(hi - xi, 0.0) / di, True
+        else:
+            if np.isinf(lo):
+                continue
+            t, to_ub = max(xi - lo, 0.0) / -di, False
+        if t < best_t - 1e-12 or (t <= best_t + 1e-12 and abs(di) > best_mag):
+            best_t, best_pos, best_to_ub, best_mag = t, i, to_ub, abs(di)
+    return best_t, best_pos, best_to_ub
+
+
+def test_restoring_ratio_matches_the_loop():
+    """Coarse values make ties and every bound case common."""
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        m = int(rng.integers(1, 8))
+        delta = rng.choice([-2.0, -1.0, -0.5, 0.0, 1e-12, 0.5, 1.0, 2.0], m)
+        anchor = rng.choice([-1.0, 0.0, 1.0], m)
+        lob = np.where(rng.random(m) < 0.3, -np.inf, anchor)
+        hib = anchor + rng.choice([0.0, 1.0, 2.0, np.inf], m)
+        xb = anchor + rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0], m)
+        assert (simplex._restoring_ratio(delta, xb, lob, hib, 1e-9)
+                == loop_restoring_ratio(delta, xb, lob, hib, 1e-9))
+
+
+def test_restoring_ratio_near_tie_takes_the_chosen_rows_own_step():
+    """Ratios 5e-13 apart tie; the larger |delta| wins with its own ratio."""
+    delta = np.array([1.0, 2.0])
+    xb = np.zeros(2)
+    lob = np.full(2, -np.inf)
+    hib = np.array([1.0, 2.0 * (1.0 + 5e-13)])
+    step, pos, to_ub = simplex._restoring_ratio(delta, xb, lob, hib, 1e-9)
+    assert (step, pos, to_ub) == loop_restoring_ratio(delta, xb, lob, hib, 1e-9)
+    assert pos == 1 and step == hib[1] / 2.0 > 1.0
+
+
+def dense_basis(A, art_sign, basis):
+    """The basis matrix with slack i as e_i and artificial i as art_sign[i]·e_i."""
+    m, n = A.shape
+    B = np.zeros((m, m))
+    for p, var in enumerate(basis):
+        if var < n:
+            B[:, p] = A[:, var]
+        else:
+            i = (var - n) % m
+            B[i, p] = 1.0 if var < n + m else art_sign[i]
+    return B
+
+
+def test_basis_updates_match_a_dense_solve():
+    """Random pivots through every kind of column swap (structural or unit
+    for structural or unit); ftran and btran stay exact solves."""
+    rng = np.random.default_rng(1)
+    m, n = 6, 5
+    kinds = set()
+    for _ in range(20):
+        A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.6)
+        art_sign = rng.choice([-1.0, 1.0], m)
+        basis = n + np.arange(m) + m * (rng.random(m) < 0.5)
+        fact = simplex._Basis(simplex._Sparse(A), art_sign)
+        fact.refresh(basis)
+        for _ in range(30):
+            q = int(rng.choice(np.setdiff1d(np.arange(n + 2 * m), basis)))
+            col = dense_basis(A, art_sign, [q])[:, 0]
+            w = fact.ftran(col)
+            p = int(np.argmax(np.abs(w)))
+            if abs(w[p]) < 1e-3:
+                continue
+            kinds.add((q < n, basis[p] < n))
+            fact.update(p, q, w)
+            basis[p] = q
+            B = dense_basis(A, art_sign, basis)
+            v = rng.normal(size=m)
+            assert np.allclose(fact.ftran(v), np.linalg.solve(B, v), atol=1e-8)
+            assert np.allclose(fact.btran(v), np.linalg.solve(B.T, v), atol=1e-8)
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
