@@ -539,7 +539,10 @@ def repair_dual_blocks(instance, bundle, result, config=None):
     The placement LPs are solved by the built-in engine whatever the
     master's backend, on purpose: they are follower-sized, and the
     repaired blocks then do not depend on the engine that solved the
-    master.
+    master.  The blocks are visited grouped by service, so that one
+    service's placements share one placement family (see
+    ``solve_fixed_t_lp``); each block is repaired on its own, so the
+    order changes no value.
     """
     from .follower import solve_fixed_t_lp
 
@@ -552,7 +555,7 @@ def repair_dual_blocks(instance, bundle, result, config=None):
     # the master's own prices: its duals must satisfy the rows at them
     leader = _master_leader(inst, bundle, vals, canonical=False)
 
-    for (k, t), blk in bundle.idx["blocks"].items():
+    for (k, t), blk in sorted(bundle.idx["blocks"].items(), key=lambda item: item[0][0]):
         vals[blk["vars"]] = 0.0
         ft = solve_fixed_t_lp(inst, k, leader, t, bundle.variant, config)
         if ft.status == STATUS_OPTIMAL:

@@ -24,23 +24,29 @@ One layout serves SP1, SP2 and the fixed-placement LP: ``add_follower``
 adds a service's variables and rows to a model and ``read_follower``
 reads its solution back.  SP1 is one call (``build_follower_milp``), SP2
 one per service (``bilevel.build_sp2``), and the fixed-placement LP is
-the SP1 model with t fixed by ``polish_binaries``, whose duals are read
-from the rows ``add_follower`` returns.  The KKT model and the master's
-follower copies write their own rows: the first through complementarity
-pairs, the second with the substitutions the master's size formula
-counts.
+the SP1 model with t fixed, whose duals are read from the rows
+``add_follower`` returns.  That model is built once per placement
+family (one service under one leader decision): on the built-in engine
+the family solves the LP relaxation once and fixes t by its bounds,
+starting each placement from the relaxation's optimal basis; a one-slot
+memo per thread keeps the family between consecutive calls.  The KKT
+model and the master's follower copies write their own rows: the first
+through complementarity pairs, the second with the substitutions the
+master's size formula counts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import pickle
+import threading
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .model import BINARY, BigMRegistry, Expr, MilpModel
-from .solve import (STATUS_INFEASIBLE, STATUS_OPTIMAL, SolveError, SolverConfig,
+from .solve import (STATUS_INFEASIBLE, STATUS_OPTIMAL, ModelLp, SolveError, SolverConfig,
                     backend_solve, backend_solve_polished, certificate_meets_claim,
                     get_backend, polish_binaries)
 from .solve import solve_lp  # noqa: F401  -- looked up here by bench/tracing.py
@@ -370,10 +376,60 @@ class FixedPlacementResult:
     reason: str = ""
 
 
+class _PlacementFamily:
+    """Service k's fixed-placement LPs under one leader decision.
+
+    The follower MILP is built, and the leader validated, once.  On the
+    built-in engine the first placement that needs an LP builds the
+    engine and solves the LP relaxation (t in [0, z]); each placement
+    then fixes t by its bounds and starts from that root basis, never
+    from the previous placement's, so an answer depends only on the
+    placement.  Other backends fix t through ``polish_binaries``.
+    """
+
+    def __init__(self, instance, k, leader, variant, config, backend):
+        self.model, self.h = build_follower_milp(instance, k, leader, variant)
+        self.config, self.backend = config, backend
+        self.lp = self.root = None
+
+    def solve(self, t):
+        t_idx = self.h["t"]
+        if self.backend != "reference":
+            return polish_binaries(self.model, dict(zip(t_idx, t)),
+                                   get_backend(self.backend).solve_lp, self.config)
+        if self.lp is None:
+            self.lp = ModelLp(self.model, self.config)
+            _, self.root = self.lp.solve(self.lp.lb, self.lp.ub)
+        lb, ub = self.lp.lb.copy(), self.lp.ub.copy()
+        lb[t_idx] = ub[t_idx] = t
+        return self.lp.solve(lb, ub, start=self.root)[0]
+
+
+# the last placement family each thread used, under the value of its arguments
+_last_family = threading.local()
+
+
+def _placement_family(instance, k, leader, variant, config, backend):
+    key = pickle.dumps((instance, k, leader, variant, config, backend))
+    slot = getattr(_last_family, "slot", None)
+    if slot is None or slot[0] != key:
+        slot = (key, _PlacementFamily(instance, k, leader, variant, config, backend))
+        _last_family.slot = slot
+    return slot[1]
+
+
 def solve_fixed_t_lp(instance, k, leader, t, variant=DEFAULT_VARIANT,
                      config=None, backend="reference"):
-    """The follower MILP with the placement fixed at t, solved as an LP with exact duals."""
-    leader.validate(instance)
+    """The follower MILP with the placement fixed at t, solved as an LP with exact duals.
+
+    The model, and on the built-in engine the root basis every placement
+    starts from, belong to a placement family (``_PlacementFamily``) kept
+    in a one-slot memo per thread.  Its key is the value of every argument
+    but t, so consecutive calls for one (instance, service, leader) share
+    a family, any changed argument builds a new one, and an answer does
+    not depend on the calls made before it.
+    """
+    family = _placement_family(instance, k, leader, variant, config, backend)
     J = instance.J
     t = [int(v) for v in t]
     for j in range(J):
@@ -385,9 +441,8 @@ def solve_fixed_t_lp(instance, k, leader, t, variant=DEFAULT_VARIANT,
         return FixedPlacementResult(STATUS_INFEASIBLE, dual_ray=True,
                                     reason=f"placement cost {placement:.6g} exceeds budget {instance.B[k]:.6g}")
 
-    model, h = build_follower_milp(instance, k, leader, variant)
-    pattern = {h["t"][j]: t[j] for j in range(J)}
-    res = polish_binaries(model, pattern, get_backend(backend).solve_lp, config)
+    res = family.solve(t)
+    h = family.h
     if res.status == STATUS_INFEASIBLE:
         return FixedPlacementResult(STATUS_INFEASIBLE, dual_ray=True, reason="LP infeasible")
     if res.status != STATUS_OPTIMAL:

@@ -28,11 +28,18 @@ optimum is verified against the constraint system before it is
 returned; numerical distress (singular or near-singular basis, failed
 verification) restarts the solve with more frequent refreshes, ending
 in per-pivot mode.  All tie-breaking is deterministic.
+
+An optimum carries its basis (``LpSolution.basis``), and a later solve
+on the same engine may start from it after a change of bounds: the
+nonbasic variables go to their new bounds, the basic values are
+recomputed, and the composite phase restores feasibility before phase 2.
+If that fails, the solve falls back to the crash start.
 """
 
 from __future__ import annotations
 
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -57,16 +64,27 @@ class _NumericalDistress(Exception):
     """Singular/near-singular basis or failed verification; restart."""
 
 
-class LpSolution:
-    __slots__ = ("status", "x", "obj", "duals", "reduced_costs", "iterations")
+class BasisRecord(NamedTuple):
+    """An optimal basis: the variable at each basis position, every
+    variable's status (structurals, slacks, artificials) and the signs of
+    the artificial columns."""
+    basic: np.ndarray
+    status: np.ndarray
+    art_sign: np.ndarray
 
-    def __init__(self, status, x=None, obj=None, duals=None, reduced_costs=None, iterations=0):
+
+class LpSolution:
+    __slots__ = ("status", "x", "obj", "duals", "reduced_costs", "iterations", "basis")
+
+    def __init__(self, status, x=None, obj=None, duals=None, reduced_costs=None, iterations=0,
+                 basis=None):
         self.status = status
         self.x = x
         self.obj = obj
         self.duals = duals
         self.reduced_costs = reduced_costs
         self.iterations = iterations
+        self.basis = basis  # a BasisRecord at an optimum
 
 
 class _Sparse:
@@ -307,6 +325,7 @@ class BoundedSimplex:
 
         self.row_scale, self.col_scale = self._A.equilibrate()
         self.b_scaled = self.row_scale * self.b_orig
+        self._b_ref = 1.0 + np.abs(self.b_scaled).max(initial=0.0)
 
         # column singletons of the scaled matrix, by ascending column:
         # the crash basis may use them to cover their row
@@ -322,7 +341,15 @@ class BoundedSimplex:
         self.slack_lb = np.where(senses == ">=", -INF, 0.0)
         self.slack_ub = np.where(senses == "<=", INF, 0.0)
 
-    def solve(self, c, lb, ub):
+    def solve(self, c, lb, ub, start=None):
+        """Minimize c'x within [lb, ub].
+
+        ``start`` is the ``basis`` of an earlier optimum of this engine.
+        The solve then begins there, with the nonbasic variables at their
+        bounds under the new lb/ub; if the composite phase cannot make
+        that basis feasible, the crash start below takes over.  Only the
+        crash start declares an LP infeasible.
+        """
         c = np.asarray(c, dtype=float)
         lb = np.asarray(lb, dtype=float)
         ub = np.asarray(ub, dtype=float)
@@ -330,8 +357,17 @@ class BoundedSimplex:
             return LpSolution(INFEASIBLE)
         if self.m == 0:
             return self._solve_unconstrained(c, lb, ub)
-        schedule = [self.refactor_every, 16, 4, 1]
         spent = 0  # pivots of abandoned attempts; the limit is per attempt
+        if start is not None:
+            self._refactor_every = self.refactor_every
+            try:
+                sol = self._warm(c, lb, ub, start)
+            except _NumericalDistress:
+                sol = None
+            if sol is not None:
+                return sol
+            spent = self._iters
+        schedule = [self.refactor_every, 16, 4, 1]
         for attempt, every in enumerate(schedule):
             self._refactor_every = every
             try:
@@ -346,18 +382,26 @@ class BoundedSimplex:
             return sol
         raise AssertionError("unreachable")
 
+    def _bounds(self, lb, ub):
+        """Scaled bounds of the structurals (x~ = x / col_scale) and slacks."""
+        cs = self.col_scale
+        with np.errstate(invalid="ignore"):
+            return (np.concatenate([lb / cs, self.slack_lb]),
+                    np.concatenate([ub / cs, self.slack_ub]))
+
+    def _begin(self, lo, hi, x, status, basis, art_sign):
+        """Install a starting point; the basis factor is left to the caller."""
+        self._lo, self._hi = lo, hi
+        self._x, self._status, self._basis = x, status, basis
+        self._art_sign = art_sign
+        self._fact = _Basis(self._A, art_sign)
+        self._total = self.n + 2 * self.m
+        self._iters = 0
+        self._limit = self.max_iterations or max(20000, 60 * (self.m + self.n))
+
     def _attempt(self, c, lb, ub):
         m, n = self.m, self.n
-        cs = self.col_scale
-        # scaled variables: x~ = x / col_scale
-        c_s = c * cs
-        with np.errstate(invalid="ignore"):
-            lb_s = lb / cs
-            ub_s = ub / cs
-
-        lo = np.concatenate([lb_s, self.slack_lb])
-        hi = np.concatenate([ub_s, self.slack_ub])
-
+        lo, hi = self._bounds(lb, ub)
         lo_fin = np.isfinite(lo)
         hi_fin = np.isfinite(hi)
         x = np.where(lo_fin, lo, np.where(hi_fin, hi, 0.0))
@@ -383,7 +427,6 @@ class BoundedSimplex:
 
         # slack i is column e_i and artificial i is art_sign[i]·e_i; both
         # stay implicit: column n + i and n + m + i touch row i only
-        self._art_sign = np.where(resid >= 0.0, 1.0, -1.0)
         lo = np.concatenate([lo, np.zeros(m)])
         hi = np.concatenate([hi, np.where(covered, 0.0, INF)])
         x = np.concatenate([x[:n], np.where(slack_basic, resid, 0.0),
@@ -393,17 +436,10 @@ class BoundedSimplex:
         basis[single_rows] = single_cols
         status = np.concatenate([status, np.full(m, AT_LB, dtype=np.int8)])
         status[basis] = BASIC
-        self._lo, self._hi = lo, hi
-        self._x, self._status, self._basis = x, status, basis
+        self._begin(lo, hi, x, status, basis, np.where(resid >= 0.0, 1.0, -1.0))
         # the crash basis covers row i with position i: its structural
         # block is the diagonal of the singletons' coefficients
-        self._fact = _Basis(self._A, self._art_sign)
         self._fact.refresh(basis, crash=True)
-        self._total = n + m + m
-        self._iters = 0
-        self._limit = self.max_iterations or max(20000, 60 * (m + n))
-
-        b_ref = 1.0 + np.abs(self.b_scaled).max(initial=0.0)
 
         c1 = np.zeros(self._total)
         c1[n + m:] = 1.0
@@ -412,13 +448,39 @@ class BoundedSimplex:
             return LpSolution(ITER_LIMIT, iterations=self._iters)
         self._recompute_basics()
         artificial_mass = float(np.abs(self._x[n + m:]).sum())
-        if artificial_mass > self.feas_tol * b_ref:
+        if artificial_mass > self.feas_tol * self._b_ref:
             # double-check against the true residual before declaring infeasible
-            if self._infeasibility() > self.feas_tol * b_ref:
+            if self._infeasibility() > self.feas_tol * self._b_ref:
                 return LpSolution(INFEASIBLE, iterations=self._iters)
         self._hi[n + m:] = 0.0
         self._x[n + m:][self._status[n + m:] != BASIC] = 0.0
+        return self._finish(c)
 
+    def _warm(self, c, lb, ub, start):
+        """Start from a recorded basis; None if it cannot be made feasible."""
+        m = self.m
+        lo, hi = self._bounds(lb, ub)
+        lo = np.concatenate([lo, np.zeros(m)])  # artificials stay locked at 0
+        hi = np.concatenate([hi, np.zeros(m)])
+        lo_fin = np.isfinite(lo)
+        hi_fin = np.isfinite(hi)
+        status = start.status.copy()
+        # a nonbasic variable keeps its side where that bound is finite
+        nonbasic = status != BASIC
+        to_ub = hi_fin & ((status == AT_UB) | ~lo_fin)
+        status[nonbasic] = np.where(to_ub, AT_UB, np.where(lo_fin, AT_LB, NB_FREE))[nonbasic]
+        x = np.where(status == AT_UB, hi, np.where(status == AT_LB, lo, 0.0))
+        self._begin(lo, hi, x, status, start.basic.copy(), start.art_sign)
+        self._refresh()
+        if not self._restore_feasibility():
+            return None
+        return self._finish(c)
+
+    def _finish(self, c):
+        """Phase 2 from a feasible basis, then verification; the result."""
+        n = self.n
+        cs = self.col_scale
+        c_s = c * cs
         c2 = np.zeros(self._total)
         c2[:n] = c_s
         for cleanup_round in range(3):
@@ -428,7 +490,7 @@ class BoundedSimplex:
             if st == UNBOUNDED:
                 return LpSolution(UNBOUNDED, iterations=self._iters)
             self._recompute_basics()
-            if self._infeasibility() <= 50 * self.feas_tol * b_ref:
+            if self._infeasibility() <= 50 * self.feas_tol * self._b_ref:
                 break
             # tiny ratio-test damage accumulated into real violations:
             # drive the basic variables back inside their bounds, then
@@ -443,8 +505,9 @@ class BoundedSimplex:
         y_scaled = self._fact.btran(c2[self._basis])
         duals = y_scaled * self.row_scale
         rc = (c_s - self._A.priced(y_scaled)) / cs
-        return LpSolution(OPTIMAL, x=xs, obj=obj, duals=duals,
-                          reduced_costs=rc, iterations=self._iters)
+        basis = BasisRecord(self._basis.copy(), self._status.copy(), self._art_sign)
+        return LpSolution(OPTIMAL, x=xs, obj=obj, duals=duals, reduced_costs=rc,
+                          iterations=self._iters, basis=basis)
 
     def _infeasibility(self):
         """Max violation of rows and bounds at the current scaled point."""
@@ -560,13 +623,13 @@ class BoundedSimplex:
         pivots_since_refactor = 0
 
         for _ in range(max_pivots):
-            self._iters += 1
             xb, lob, hib = x[basis], lo[basis], hi[basis]
             below = xb < lob - tol_r
             above = xb > hib + tol_r
             if not (below.any() or above.any()):
                 self._refresh()
                 return True
+            self._iters += 1
             y = fact.btran(np.where(below, -1.0, np.where(above, 1.0, 0.0)))
             d = self._reduced_costs(np.zeros(self._total), y)
             viol = self._pricing(d, movable)

@@ -130,11 +130,9 @@ def _make_engine(core, config):
                           max_iterations=config.max_lp_iterations)
 
 
-def _run_simplex(core, lb, ub, config, engine=None):
-    if engine is None:
-        engine = _make_engine(core, config)
+def _run_simplex(core, lb, ub, engine, start=None):
     try:
-        sol = engine.solve(core.sense_mult * core.c, lb, ub)
+        sol = engine.solve(core.sense_mult * core.c, lb, ub, start)
     except SimplexFailure as exc:
         raise SolveError(f"simplex failure: {exc}") from exc
     if sol.status == ITER_LIMIT:
@@ -142,21 +140,40 @@ def _run_simplex(core, lb, ub, config, engine=None):
     return sol
 
 
+class ModelLp:
+    """A model's LP (binaries relaxed to [0,1]) on the built-in engine,
+    extracted and equilibrated once and then solved under any bounds.
+
+    ``lb`` and ``ub`` are the model's own bounds.  ``solve`` returns the
+    SolveResult and the optimum's basis (None unless optimal), which a
+    later ``solve`` may take as its ``start``.
+    """
+
+    def __init__(self, model: MilpModel, config: SolverConfig | None = None):
+        self.core = _ModelCore(model)
+        self.lb, self.ub = self.core.lb, self.core.ub
+        self.engine = _make_engine(self.core, (config or SolverConfig()).validate())
+
+    def solve(self, lb, ub, start=None):
+        core = self.core
+        t0 = time.perf_counter()
+        sol = _run_simplex(core, lb, ub, self.engine, start)
+        stats = {"iterations": sol.iterations, "wall_time": time.perf_counter() - t0}
+        if sol.status == INFEASIBLE:
+            return SolveResult(STATUS_INFEASIBLE, stats=stats), None
+        if sol.status == UNBOUNDED:
+            return SolveResult(STATUS_UNBOUNDED, stats=stats), None
+        obj = core.sense_mult * sol.obj + core.offset
+        duals = core.sense_mult * sol.duals
+        stats["nodes"] = 0
+        return SolveResult(STATUS_OPTIMAL, objective=obj, values=sol.x, duals=duals,
+                           stats=stats), sol.basis
+
+
 def solve_lp(model: MilpModel, config: SolverConfig | None = None) -> SolveResult:
     """Solve the model as an LP (binaries relaxed to [0,1]); duals included."""
-    config = (config or SolverConfig()).validate()
-    core = _ModelCore(model)
-    t0 = time.perf_counter()
-    sol = _run_simplex(core, core.lb, core.ub, config)
-    wall = time.perf_counter() - t0
-    if sol.status == INFEASIBLE:
-        return SolveResult(STATUS_INFEASIBLE, stats={"iterations": sol.iterations, "wall_time": wall})
-    if sol.status == UNBOUNDED:
-        return SolveResult(STATUS_UNBOUNDED, stats={"iterations": sol.iterations, "wall_time": wall})
-    obj = core.sense_mult * sol.obj + core.offset
-    duals = core.sense_mult * sol.duals
-    return SolveResult(STATUS_OPTIMAL, objective=obj, values=sol.x, duals=duals,
-                       stats={"iterations": sol.iterations, "wall_time": wall, "nodes": 0})
+    lp = ModelLp(model, config)
+    return lp.solve(lp.lb, lp.ub)[0]
 
 
 def solve_milp(model: MilpModel, config: SolverConfig | None = None) -> SolveResult:
@@ -190,7 +207,7 @@ def solve_milp(model: MilpModel, config: SolverConfig | None = None) -> SolveRes
         ub = core.ub.copy()
         for idx, val in fixes.items():
             lb[idx] = ub[idx] = float(val)
-        sol = _run_simplex(core, lb, ub, config, engine)
+        sol = _run_simplex(core, lb, ub, engine)
         nodes += 1
         total_iters += sol.iterations
         return sol

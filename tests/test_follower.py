@@ -1,8 +1,12 @@
+import copy
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from edgeprice import follower
 from edgeprice.follower import (FollowerError, LeaderDecision, ModelVariant,
                                 cost_breakdown, derived_dual_bound, enumerate_placements,
                                 follower_cost, solve_fixed_t_lp, solve_kkt_follower,
@@ -134,6 +138,92 @@ class TestFixedPlacementLp:
         assert res.status == "infeasible"
         assert res.dual_ray
         assert "budget" in res.reason
+
+
+def deck_case(seed, I, J, p, ps):
+    """An instance and leader of the follower bench's recipe (K=1, every node active)."""
+    inst = generate(GenConfig(seed=seed, I=I, J=J, K=1, graph_size=40))
+    leader = LeaderDecision.from_prices(
+        inst, p=[inst.p_grid[j][v] for j, v in enumerate(p)],
+        ps=[inst.ps_grid[j][h] for j, h in enumerate(ps)], z=[1] * J)
+    return inst, leader
+
+
+def solve_all(inst, leader, order, forget=False):
+    """Every placement's LP, in the given order of placements."""
+    out = {}
+    for bits in order:
+        if forget:
+            vars(follower._last_family).clear()
+        out[bits] = solve_fixed_t_lp(inst, 0, leader, list(bits))
+    return out
+
+
+def same_answers(a, b):
+    assert a.keys() == b.keys()
+    for bits in a:
+        assert (a[bits].status, a[bits].objective) == (b[bits].status, b[bits].objective)
+        assert a[bits].dual == b[bits].dual and a[bits].solution == b[bits].solution
+
+
+class TestPlacementFamily:
+    """The fixed-placement LPs of one (instance, service, leader) share a
+    model and a root basis; an answer must not depend on the calls made
+    before it."""
+
+    CASES = [(203, 6, 5, [4, 0, 2, 1, 3], [2, 0, 1, 1, 0]),
+             (204, 3, 6, [0, 3, 1, 4, 2, 2], [1, 2, 0, 0, 1, 2])]
+
+    @pytest.mark.parametrize("case", CASES, ids=["seed203", "seed204"])
+    def test_answers_do_not_depend_on_call_order(self, case):
+        inst, leader = deck_case(*case)
+        order = list(itertools.product((0, 1), repeat=inst.J))
+        forward = solve_all(inst, leader, order)
+        assert sum(r.status == "optimal" for r in forward.values()) > 1
+        same_answers(forward, solve_all(inst, leader, order[::-1]))
+        same_answers(forward, solve_all(inst, leader, order, forget=True))
+
+    def test_a_changed_instance_or_leader_is_solved_afresh(self):
+        inst, leader = deck_case(*self.CASES[0])
+        inst = copy.deepcopy(inst)
+        t = [1, 0, 1, 0, 0]
+        before = solve_fixed_t_lp(inst, 0, leader, t)
+        costs = before.solution.costs
+        # the same object, its budget now binding
+        inst.B[0] = costs.placement + 0.5 * (costs.cloud + costs.edge)
+        cheaper = LeaderDecision.from_prices(
+            inst, p=[grid[0] for grid in inst.p_grid], ps=[grid[-1] for grid in inst.ps_grid],
+            z=[1] * inst.J)
+        for ld in (leader, cheaper):
+            res = solve_fixed_t_lp(inst, 0, ld, t)
+            ref = solve_fixed_t_lp(inst, 0, ld, t, backend="highs")
+            assert res.status == ref.status == "optimal"
+            assert abs(res.objective - ref.objective) <= 1e-9 * abs(ref.objective)
+            assert res.objective != before.objective
+
+    def test_threads_share_no_state(self):
+        cases = [deck_case(*case) for case in self.CASES]
+        orders = [list(itertools.product((0, 1), repeat=inst.J)) for inst, _ in cases]
+        serial = [solve_all(inst, leader, order) for (inst, leader), order in zip(cases, orders)]
+        threaded = [None, None]
+
+        def work(slot):
+            (inst, leader), order = cases[slot], orders[slot]
+            threaded[slot] = solve_all(inst, leader, order)
+
+        workers = [threading.Thread(target=work, args=(slot,)) for slot in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two threads' solves finely
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+                assert not w.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            same_answers(a, b)
 
 
 class TestDerivedDualBound:

@@ -90,6 +90,50 @@ def test_restore_feasibility_repairs_a_pushed_basic_variable(base_lp):
     assert np.all(eng._x >= lo - 1e-9) and np.all(eng._x <= hi + 1e-9)
 
 
+def test_a_start_at_its_own_optimum_prices_once(base_lp):
+    core, lb, ub, _ = base_lp
+    eng = BoundedSimplex(core.A, core.b, core.senses)
+    sol = eng.solve(core.c, lb, ub)
+    again = eng.solve(core.c, lb, ub, start=sol.basis)
+    assert again.status == OPTIMAL and again.iterations <= 1
+    assert again.obj == pytest.approx(sol.obj, rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [[0] * 8, [1] * 8, [j % 2 for j in range(8)],
+                               [int(j < 3) for j in range(8)]],
+                         ids=["none", "all", "alternate", "first3"])
+def test_a_start_after_a_bound_change_reaches_the_cold_optimum(base_lp, t, monkeypatch):
+    """From the relaxation's optimum, fix the placement by its bounds:
+    the warm solve, with no crash start, ends at the cold optimum."""
+    core, _, _, _ = base_lp
+    eng = BoundedSimplex(core.A, core.b, core.senses)
+    root = eng.solve(core.c, core.lb, core.ub)
+    lb, ub = core.lb.copy(), core.ub.copy()
+    lb[core.binaries] = ub[core.binaries] = t
+    cold = BoundedSimplex(core.A, core.b, core.senses).solve(core.c, lb, ub)
+
+    def no_crash_start(self, c, lb, ub):
+        raise AssertionError("the warm start fell back to the crash start")
+
+    monkeypatch.setattr(BoundedSimplex, "_attempt", no_crash_start)
+    warm = eng.solve(core.c, lb, ub, start=root.basis)
+    assert warm.status == cold.status == OPTIMAL
+    assert abs(warm.obj - cold.obj) <= 1e-9 * abs(cold.obj)
+    assert_dual_certificate(SimpleNamespace(duals=warm.duals, objective=warm.obj),
+                            core.A, core.b, core.senses, core.c, lb, ub, 1.0)
+
+
+def test_a_start_that_cannot_be_restored_falls_back_to_the_crash_start(base_lp, monkeypatch):
+    core, lb, ub, _ = base_lp
+    eng = BoundedSimplex(core.A, core.b, core.senses)
+    root = eng.solve(core.c, core.lb, core.ub)
+    cold = eng.solve(core.c, lb, ub)
+    monkeypatch.setattr(BoundedSimplex, "_restore_feasibility", lambda self: False)
+    sol = eng.solve(core.c, lb, ub, start=root.basis)
+    assert sol.status == OPTIMAL and sol.obj == cold.obj
+    assert np.array_equal(sol.x, cold.x) and np.array_equal(sol.duals, cold.duals)
+
+
 def loop_restoring_ratio(delta, xb, lob, hib, tol_r, piv_tol=1e-11):
     """Reference: the composite phase's ratio test as a loop over rows."""
     best_t, best_pos, best_to_ub, best_mag = np.inf, -1, False, 0.0
