@@ -557,8 +557,10 @@ def repair_dual_blocks(instance, bundle, result, config=None):
 
     for (k, t), blk in sorted(bundle.idx["blocks"].items(), key=lambda item: item[0][0]):
         vals[blk["vars"]] = 0.0
-        ft = solve_fixed_t_lp(inst, k, leader, t, bundle.variant, config)
-        if ft.status == STATUS_OPTIMAL:
+        # a placement on a closed node has no LP to solve
+        closed = sum(1 - leader.z[j] for j, bit in enumerate(t) if bit)
+        ft = None if closed else solve_fixed_t_lp(inst, k, leader, t, bundle.variant, config)
+        if ft is not None and ft.status == STATUS_OPTIMAL:
             d = ft.dual
             if blk["mu1"] is not None:
                 vals[blk["mu1"]] = d.mu1
@@ -574,7 +576,6 @@ def repair_dual_blocks(instance, bundle, result, config=None):
             continue
         row = model.constraints[blk["row"]]
         need = model.constraint_activity(row, vals) - row.rhs
-        closed = sum(1 - leader.z[j] for j, bit in enumerate(t) if bit)
         if closed:
             if need + M * closed >= BigMRegistry.FLAG_RATIO * M:
                 raise BilevelError(

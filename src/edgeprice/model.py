@@ -33,7 +33,6 @@ class VarDef:
     kind: str = CONTINUOUS
     lb: float = 0.0
     ub: float = INF
-    tag: str = ""
 
     def validate(self):
         if self.kind not in (CONTINUOUS, BINARY):
@@ -89,7 +88,7 @@ class Expr:
 
 
 class MilpModel:
-    """Sparse MILP container with a name/tag registry and exact stats."""
+    """Sparse MILP container with a name registry and exact stats."""
 
     def __init__(self, name="model", sense="min"):
         if sense not in ("min", "max"):
@@ -101,27 +100,22 @@ class MilpModel:
         self.objective: dict = {}
         self.objective_offset = 0.0
         self._by_name: dict = {}
-        self._by_tag: dict = {}
         self._finalized = False
 
     # -- construction ------------------------------------------------
 
-    def add_var(self, name, kind=CONTINUOUS, lb=0.0, ub=INF, tag=None):
+    def add_var(self, name, kind=CONTINUOUS, lb=0.0, ub=INF):
         if self._finalized:
             raise ModelError("model is finalized")
         if name in self._by_name:
             raise ModelError(f"duplicate variable name {name!r}")
         if kind == BINARY:
             lb, ub = 0.0, 1.0
-        tag = tag if tag is not None else name
-        if tag in self._by_tag:
-            raise ModelError(f"duplicate variable tag {tag!r}")
-        v = VarDef(name=name, kind=kind, lb=float(lb), ub=float(ub), tag=tag)
+        v = VarDef(name=name, kind=kind, lb=float(lb), ub=float(ub))
         v.validate()
         idx = len(self.variables)
         self.variables.append(v)
         self._by_name[name] = idx
-        self._by_tag[tag] = idx
         return idx
 
     def add_constraint(self, coeffs, sense, rhs, name="", family=""):
@@ -209,13 +203,12 @@ class MilpModel:
     def clone(self):
         """Deep-enough copy: independent variables/constraints, shared nothing."""
         dup = MilpModel(self.name, self.sense)
-        dup.variables = [VarDef(v.name, v.kind, v.lb, v.ub, v.tag) for v in self.variables]
+        dup.variables = [VarDef(v.name, v.kind, v.lb, v.ub) for v in self.variables]
         dup.constraints = [LinearConstraint(dict(c.coeffs), c.sense, c.rhs, c.name, c.family)
                            for c in self.constraints]
         dup.objective = dict(self.objective)
         dup.objective_offset = self.objective_offset
         dup._by_name = dict(self._by_name)
-        dup._by_tag = dict(self._by_tag)
         dup._finalized = False
         return dup
 

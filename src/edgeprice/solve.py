@@ -72,7 +72,6 @@ class SolverConfig:
     mip_gap: float = 1e-8
     node_limit: int | None = None
     time_limit: float | None = None
-    max_lp_iterations: int | None = None
     # HiGHS's root reduced-cost heuristic (see module docstring)
     root_reduced_cost: bool = False
 
@@ -125,9 +124,7 @@ class _ModelCore:
 
 
 def _make_engine(core, config):
-    return BoundedSimplex(core.A, core.b, core.senses,
-                          feas_tol=config.feas_tol,
-                          max_iterations=config.max_lp_iterations)
+    return BoundedSimplex(core.A, core.b, core.senses, feas_tol=config.feas_tol)
 
 
 def _run_simplex(core, lb, ub, engine, start=None):
@@ -296,7 +293,7 @@ def polish_binaries(model, values, lp_solver, config=None):
     bins = model.binary_indices()
     pattern = {i: float(round(float(values[i]))) for i in bins}
     fixed = MilpModel(model.name, model.sense)
-    fixed.variables = [VarDef(v.name, v.kind, pattern.get(i, v.lb), pattern.get(i, v.ub), v.tag)
+    fixed.variables = [VarDef(v.name, v.kind, pattern.get(i, v.lb), pattern.get(i, v.ub))
                        for i, v in enumerate(model.variables)]
     fixed.constraints = model.constraints
     fixed.objective = model.objective

@@ -7,6 +7,7 @@ from edgeprice.bilevel import (BilevelError, Cut, Sp2Infeasible, build_master,
                                extract_master_solution, linearization_audit, mp_size,
                                platform_profit, repair_dual_blocks, run_algorithm1,
                                solve_bruteforce, solve_hpp, solve_sp2, verify_bilevel_solution)
+from edgeprice import follower
 from edgeprice.follower import (LeaderDecision, budget_cannot_bind, derived_dual_bound,
                                 solve_fixed_t_lp, solve_sp1)
 from edgeprice.instance import GenConfig, generate
@@ -249,6 +250,38 @@ class TestDualBlocks:
         # closed node: both services' blocks on node 0 stay at zero
         for k in range(2):
             assert not np.any(vals[blocks[(k, (1, 0))]["vars"]])
+        assert linearization_audit(bundle, res) <= 1e-9
+
+    def test_repair_solves_no_closed_node_placement(self, monkeypatch):
+        """Blocks on the closed node 0 ask for no placement LP.  Their LP
+        would be infeasible at once, so they stay at zero as before, and
+        the blocks on open nodes keep their exact duals."""
+        inst = self.two_service_instance()
+        cuts = [Cut(t_vectors=((0, 1), (0, 1))), Cut(t_vectors=((1, 0), (1, 0))),
+                Cut(t_vectors=((1, 1), (0, 0)))]
+        bundle = build_master(inst, cuts)
+        res = backend_solve_polished("reference", bundle.model)
+        assert res.status == STATUS_OPTIMAL
+        leader = extract_master_solution(inst, bundle, res).leader
+        assert leader.z == [0, 1]
+        real = follower.solve_fixed_t_lp
+        calls = []
+
+        def counted(instance, k, leader, t, *args):
+            calls.append((k, tuple(t)))
+            return real(instance, k, leader, t, *args)
+
+        monkeypatch.setattr(follower, "solve_fixed_t_lp", counted)
+        repair_dual_blocks(inst, bundle, res)
+        blocks = bundle.idx["blocks"]
+        assert sorted(calls) == sorted(kt for kt in blocks if not kt[1][0])
+        assert len(calls) == 3 and len(blocks) == 6
+        for (k, t), blk in blocks.items():
+            if t[0]:
+                assert real(inst, k, leader, t).status != STATUS_OPTIMAL
+                assert not np.any(res.values[blk["vars"]])
+        exact = real(inst, 0, leader, [0, 1]).dual
+        assert res.values[blocks[(0, (0, 1))]["mu2"]] == exact.mu2
         assert linearization_audit(bundle, res) <= 1e-9
 
     def test_undersized_closed_node_slack_raises(self, monkeypatch):

@@ -4,13 +4,18 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 from edgeprice import cli
 
+# the child imports edgeprice from this checkout, installed or not
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "edgeprice.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def sha(path):

@@ -99,11 +99,9 @@ class TestModelStats:
 class TestModelBasics:
     def test_duplicate_names_and_tags_rejected(self):
         m = MilpModel()
-        m.add_var("x", tag="T")
+        m.add_var("x")
         with pytest.raises(ModelError):
             m.add_var("x")
-        with pytest.raises(ModelError):
-            m.add_var("y", tag="T")
 
     def test_undeclared_variable_rejected(self):
         m = MilpModel()

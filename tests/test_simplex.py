@@ -1,5 +1,5 @@
-"""The built-in simplex's refresh, restart and restoration paths, and
-its basis updates.
+"""The built-in simplex's refresh, restart and phase-1 paths, and its
+basis updates.
 
 The property tests' LPs have at most five rows and never reach a
 refresh of the basis inverse.  These tests use one base-preset
@@ -76,7 +76,7 @@ def test_abandoned_attempt_pivots_are_counted(base_lp, monkeypatch):
 
 def test_restore_feasibility_repairs_a_pushed_basic_variable(base_lp):
     """Tighten a basic variable's upper bound below its value, as ratio
-    test damage would leave it; the composite phase pivots it back."""
+    test damage would leave it; phase 1 pivots it back."""
     core, lb, ub, _ = base_lp
     eng = BoundedSimplex(core.A, core.b, core.senses)
     assert eng.solve(core.c, lb, ub).status == OPTIMAL
@@ -85,9 +85,30 @@ def test_restore_feasibility_repairs_a_pushed_basic_variable(base_lp):
     j = inside[0]
     hi[j] = lo[j] + 0.5 * (x[j] - lo[j])
     assert eng._infeasibility() > 1e-4
-    assert eng._restore_feasibility()
+    assert eng._optimize() == OPTIMAL
     assert eng._infeasibility() <= 1e-9
     assert np.all(eng._x >= lo - 1e-9) and np.all(eng._x <= hi + 1e-9)
+
+
+def test_phase_one_stopped_by_the_limit_reports_it(monkeypatch):
+    """x + q == 3 with x <= 1 and q <= 2: the crash leaves row 0's slack
+    basic at 3, and phase 1 needs two pivots; a limit of one stops it."""
+    real = BoundedSimplex._begin
+
+    def one_pass(self, *args):
+        x = real(self, *args)
+        self._limit = 1
+        return x
+
+    monkeypatch.setattr(BoundedSimplex, "_begin", one_pass)
+    phases = []
+    real_optimize = BoundedSimplex._optimize
+    monkeypatch.setattr(BoundedSimplex, "_optimize",
+                        lambda self, c=None: phases.append(c is None) or real_optimize(self, c))
+    eng = BoundedSimplex(np.array([[1.0, 1.0], [1.0, 0.0]]), [3.0, 1.0], ["==", "<="])
+    sol = eng.solve(np.array([1.0, 2.0]), np.zeros(2), np.array([np.inf, 2.0]))
+    assert sol.status == simplex.ITER_LIMIT and sol.iterations == 1
+    assert phases == [True]
 
 
 def test_a_start_at_its_own_optimum_prices_once(base_lp):
@@ -128,93 +149,48 @@ def test_a_start_that_cannot_be_restored_falls_back_to_the_crash_start(base_lp, 
     eng = BoundedSimplex(core.A, core.b, core.senses)
     root = eng.solve(core.c, core.lb, core.ub)
     cold = eng.solve(core.c, lb, ub)
-    monkeypatch.setattr(BoundedSimplex, "_restore_feasibility", lambda self: False)
+    real = BoundedSimplex._optimize
+    failed = []
+
+    def first_phase_one_fails(self, c=None):
+        if c is None and not failed:
+            failed.append(True)
+            return simplex.INFEASIBLE
+        return real(self, c)
+
+    monkeypatch.setattr(BoundedSimplex, "_optimize", first_phase_one_fails)
     sol = eng.solve(core.c, lb, ub, start=root.basis)
+    assert failed
     assert sol.status == OPTIMAL and sol.obj == cold.obj
     assert np.array_equal(sol.x, cold.x) and np.array_equal(sol.duals, cold.duals)
 
 
-def loop_restoring_ratio(delta, xb, lob, hib, tol_r, piv_tol=1e-11):
-    """Reference: the composite phase's ratio test as a loop over rows."""
-    best_t, best_pos, best_to_ub, best_mag = np.inf, -1, False, 0.0
-    for i, di in enumerate(delta):
-        if abs(di) <= piv_tol:
-            continue
-        xi, lo, hi = xb[i], lob[i], hib[i]
-        if xi < lo - tol_r:
-            if di <= 0:
-                continue
-            t, to_ub = (lo - xi) / di, False
-        elif xi > hi + tol_r:
-            if di >= 0:
-                continue
-            t, to_ub = (xi - hi) / -di, True
-        elif di > 0:
-            if np.isinf(hi):
-                continue
-            t, to_ub = max(hi - xi, 0.0) / di, True
-        else:
-            if np.isinf(lo):
-                continue
-            t, to_ub = max(xi - lo, 0.0) / -di, False
-        if t < best_t - 1e-12 or (t <= best_t + 1e-12 and abs(di) > best_mag):
-            best_t, best_pos, best_to_ub, best_mag = t, i, to_ub, abs(di)
-    return best_t, best_pos, best_to_ub
-
-
-def test_restoring_ratio_matches_the_loop():
-    """Coarse values make ties and every bound case common."""
-    rng = np.random.default_rng(0)
-    for _ in range(3000):
-        m = int(rng.integers(1, 8))
-        delta = rng.choice([-2.0, -1.0, -0.5, 0.0, 1e-12, 0.5, 1.0, 2.0], m)
-        anchor = rng.choice([-1.0, 0.0, 1.0], m)
-        lob = np.where(rng.random(m) < 0.3, -np.inf, anchor)
-        hib = anchor + rng.choice([0.0, 1.0, 2.0, np.inf], m)
-        xb = anchor + rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0], m)
-        assert (simplex._restoring_ratio(delta, xb, lob, hib, 1e-9)
-                == loop_restoring_ratio(delta, xb, lob, hib, 1e-9))
-
-
-def test_restoring_ratio_near_tie_takes_the_chosen_rows_own_step():
-    """Ratios 5e-13 apart tie; the larger |delta| wins with its own ratio."""
-    delta = np.array([1.0, 2.0])
-    xb = np.zeros(2)
-    lob = np.full(2, -np.inf)
-    hib = np.array([1.0, 2.0 * (1.0 + 5e-13)])
-    step, pos, to_ub = simplex._restoring_ratio(delta, xb, lob, hib, 1e-9)
-    assert (step, pos, to_ub) == loop_restoring_ratio(delta, xb, lob, hib, 1e-9)
-    assert pos == 1 and step == hib[1] / 2.0 > 1.0
-
-
-def dense_basis(A, art_sign, basis):
-    """The basis matrix with slack i as e_i and artificial i as art_sign[i]·e_i."""
+def dense_basis(A, basis):
+    """The basis matrix with slack i as e_i."""
     m, n = A.shape
     B = np.zeros((m, m))
     for p, var in enumerate(basis):
         if var < n:
             B[:, p] = A[:, var]
         else:
-            i = (var - n) % m
-            B[i, p] = 1.0 if var < n + m else art_sign[i]
+            B[var - n, p] = 1.0
     return B
 
 
 def test_basis_updates_match_a_dense_solve():
-    """Random pivots through every kind of column swap (structural or unit
-    for structural or unit); ftran and btran stay exact solves."""
+    """Random pivots through every kind of column swap (structural or slack
+    for structural or slack); ftran and btran stay exact solves."""
     rng = np.random.default_rng(1)
     m, n = 6, 5
     kinds = set()
     for _ in range(20):
         A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.6)
-        art_sign = rng.choice([-1.0, 1.0], m)
-        basis = n + np.arange(m) + m * (rng.random(m) < 0.5)
-        fact = simplex._Basis(simplex._Sparse(A), art_sign)
+        basis = n + np.arange(m)
+        fact = simplex._Basis(simplex._Sparse(A))
         fact.refresh(basis)
         for _ in range(30):
-            q = int(rng.choice(np.setdiff1d(np.arange(n + 2 * m), basis)))
-            col = dense_basis(A, art_sign, [q])[:, 0]
+            q = int(rng.choice(np.setdiff1d(np.arange(n + m), basis)))
+            col = dense_basis(A, [q])[:, 0]
             w = fact.ftran(col)
             p = int(np.argmax(np.abs(w)))
             if abs(w[p]) < 1e-3:
@@ -222,7 +198,7 @@ def test_basis_updates_match_a_dense_solve():
             kinds.add((q < n, basis[p] < n))
             fact.update(p, q, w)
             basis[p] = q
-            B = dense_basis(A, art_sign, basis)
+            B = dense_basis(A, basis)
             v = rng.normal(size=m)
             assert np.allclose(fact.ftran(v), np.linalg.solve(B, v), atol=1e-8)
             assert np.allclose(fact.btran(v), np.linalg.solve(B.T, v), atol=1e-8)

@@ -70,14 +70,14 @@ class TestSolveLp:
         res = solve_lp(m.finalize())
         assert res.status == STATUS_OPTIMAL
         assert res.objective == 0.0
-        # x = 0 satisfies the row, so its slack starts basic and no
-        # artificial does: one pricing pass per phase
-        assert res.stats["iterations"] == 2
+        # x = 0 satisfies the row, so its slack starts basic inside its
+        # bounds: phase 1 has nothing to repair and phase 2 prices once
+        assert res.stats["iterations"] == 1
 
     @pytest.mark.parametrize("q_sign, q_ub, iterations, objective", [
-        (1.0, np.inf, 3, 5.0),   # x + q == 3: q = 3 covers the row
-        (-1.0, np.inf, 2, 6.0),  # x - q == -3: q = 3 covers it, already optimal
-        (1.0, 2.0, 5, 5.0),      # q <= 2 cannot hold 3: the artificial stays
+        (1.0, np.inf, 2, 5.0),   # x + q == 3: q = 3 covers the row
+        (-1.0, np.inf, 1, 6.0),  # x - q == -3: q = 3 covers it, already optimal
+        (1.0, 2.0, 4, 5.0),      # q <= 2 cannot hold 3: the slack stays, violated
     ])
     def test_singleton_crash_skips_phase_one(self, q_sign, q_ub, iterations, objective):
         m = MilpModel("t", "min")
@@ -92,8 +92,8 @@ class TestSolveLp:
         assert res.objective == pytest.approx(objective, abs=1e-9)
         assert np.allclose(res.duals, get_backend("highs").solve_lp(m).duals, atol=1e-9)
         # q has its only nonzero in row 0, the row its slack (fixed at 0)
-        # cannot cover; when q can absorb the residual it starts basic,
-        # row 0 needs no artificial and phase 1 is a single pricing pass
+        # cannot cover; when q can absorb the residual it starts basic
+        # and the start is feasible, so phase 1 has no pass
         assert res.stats["iterations"] == iterations
 
     def test_infeasible_pair(self):
