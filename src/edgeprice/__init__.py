@@ -7,8 +7,8 @@ from .instance import (GenConfig, Instance, InstanceError, ScaleFactors,  # noqa
                        apply_scale, generate, generate_with_topology, load, save)
 from .model import (BigMRegistry, Expr, MilpModel, ModelError, VarDef,  # noqa: F401
                     link_one_hot)
-from .solve import (SolveResult, SolverConfig, backend_register,  # noqa: F401
-                    backend_solve, backend_solve_polished, solve_lp, solve_milp)
+from .solve import (SolveResult, SolverConfig, backend_solve,  # noqa: F401
+                    backend_solve_polished, solve_lp, solve_milp)
 from .follower import (DualSolution, FollowerSolution, LeaderDecision,  # noqa: F401
                        ModelVariant, build_follower_milp, build_kkt_follower,
                        cost_breakdown, enumerate_placements, solve_fixed_t_lp,

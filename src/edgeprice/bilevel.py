@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 from .follower import (DEFAULT_VARIANT, LeaderDecision, ModelVariant, add_follower,
                        assemble_solution, budget_cannot_bind, derived_dual_bound,
                        follower_cost, read_follower, solve_sp1)
+from .instance import grid_level
 from .model import BINARY, BigMRegistry, Expr, MilpModel, ModelStats, link_one_hot
 from .solve import STATUS_OPTIMAL, SolverConfig, backend_solve_polished
 
@@ -107,9 +108,6 @@ class MasterSolution:
     leader: LeaderDecision
     solutions: list       # duplicated FollowerSolution per service
     theta: float
-    revenue_edge: float
-    revenue_placement: float
-    cost_operating: float
     status: str = STATUS_OPTIMAL
 
 
@@ -453,10 +451,10 @@ def _add_block(m, inst, variant, registry, idx, cost, k, t):
 
 
 def _grid_index(grid, price, label):
-    for v, g in enumerate(grid):
-        if abs(g - price) <= 1e-9 * max(1.0, abs(g)):
-            return v
-    raise BilevelError(f"{label}: {price} is not on the grid {grid}")
+    v = grid_level(grid, price)
+    if v is None:
+        raise BilevelError(f"{label}: {price} is not on the grid {grid}")
+    return v
 
 
 def _master_leader(instance, bundle, vals, canonical=True):
@@ -498,14 +496,8 @@ def extract_master_solution(instance, bundle, result):
         y0 = sum(x0) + max(0.0, float(vals[idx["g0"][k]]))
         t = [int(round(vals[idx["tp"][k][j]])) for j in range(J)]
         sols.append(assemble_solution(inst, k, leader, x, x0, q, y, y0, t))
-    rev_edge = sum(leader.p[j] * sols[k].y[j] for j in range(J) for k in range(K))
-    rev_place = sum(leader.placement_price(inst, k, j) * sols[k].t[j]
-                    for j in range(J) for k in range(K))
-    cost_op = sum(inst.f[j] * leader.z[j] for j in range(J)) + \
-        sum(inst.c[j] / inst.C[j] * sols[k].y[j] for j in range(J) for k in range(K))
     return MasterSolution(leader=leader, solutions=sols, theta=float(result.objective),
-                          revenue_edge=rev_edge, revenue_placement=rev_place,
-                          cost_operating=cost_op, status=result.status)
+                          status=result.status)
 
 
 def linearization_audit(bundle, result):
@@ -696,7 +688,7 @@ def platform_profit(instance, leader, solutions):
 def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
                    backend="reference", flat=False, flat_storage=True,
                    fixed_price=None, fixed_sprice=None, max_iterations=None,
-                   time_limit=None, on_iteration=None):
+                   time_limit=None):
     """Master/subproblem iteration until the relative gap closes.
 
     Returns an AlgorithmState whose status is "gap-closed", "duplicate-t"
@@ -785,8 +777,6 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
                 state.incumbent_leader = leader
                 state.incumbent_solutions = sols
         state.record(time.perf_counter() - t_start, res.stats)
-        if on_iteration is not None:
-            on_iteration(state)
 
         if relative_gap(state.UB, state.LB) <= epsilon:
             state.status = "gap-closed"

@@ -45,6 +45,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from .instance import grid_level
 from .model import BINARY, BigMRegistry, Expr, MilpModel
 from .solve import (STATUS_INFEASIBLE, STATUS_OPTIMAL, ModelLp, SolveError, SolverConfig,
                     backend_solve, backend_solve_polished, certificate_meets_claim,
@@ -83,10 +84,10 @@ class LeaderDecision:
 
     @classmethod
     def from_prices(cls, instance, p, ps, z):
+        """The leader at the grid levels that p and ps equal (``grid_level``)."""
         r = [_one_hot(instance.p_grid[j], p[j], f"p[{j}]") for j in range(instance.J)]
         rs = [_one_hot(instance.ps_grid[j], ps[j], f"ps[{j}]") for j in range(instance.J)]
-        return cls(p=[float(v) for v in p], ps=[float(v) for v in ps],
-                   z=[int(v) for v in z], r=r, rs=rs)
+        return cls.from_selectors(instance, r, rs, z)
 
     @classmethod
     def from_selectors(cls, instance, r, rs, z):
@@ -119,10 +120,10 @@ class LeaderDecision:
 
 
 def _one_hot(grid, price, label):
-    for v, g in enumerate(grid):
-        if abs(g - price) <= 1e-9 * max(1.0, abs(g)):
-            return [1 if u == v else 0 for u in range(len(grid))]
-    raise FollowerError(f"{label}={price} is not a member of the grid {grid}")
+    v = grid_level(grid, price)
+    if v is None:
+        raise FollowerError(f"{label}={price} is not a member of the grid {grid}")
+    return [1 if u == v else 0 for u in range(len(grid))]
 
 
 @dataclass
@@ -398,7 +399,7 @@ class _PlacementFamily:
             return polish_binaries(self.model, dict(zip(t_idx, t)),
                                    get_backend(self.backend).solve_lp, self.config)
         if self.lp is None:
-            self.lp = ModelLp(self.model, self.config)
+            self.lp = ModelLp(self.model)
             _, self.root = self.lp.solve(self.lp.lb, self.lp.ub)
         lb, ub = self.lp.lb.copy(), self.lp.ub.copy()
         lb[t_idx] = ub[t_idx] = t
@@ -565,8 +566,7 @@ class KktFollowerModel:
         return out
 
 
-def build_kkt_follower(instance, k, leader, variant=DEFAULT_VARIANT,
-                       registry=None, dual_bound=None):
+def build_kkt_follower(instance, k, leader, variant=DEFAULT_VARIANT):
     """Single-level MILP equivalent of the follower problem.
 
     Encodes primal feasibility, stationarity, and complementary slackness
@@ -576,12 +576,11 @@ def build_kkt_follower(instance, k, leader, variant=DEFAULT_VARIANT,
     """
     leader.validate(instance)
     I, J = instance.I, instance.J
-    registry = registry if registry is not None else BigMRegistry()
+    registry = BigMRegistry()
     w = instance.w[k]
     R = [instance.R[i][k] for i in range(I)]
     total_R = sum(R)
-    if dual_bound is None:
-        dual_bound = derived_dual_bound(instance)
+    dual_bound = derived_dual_bound(instance)
 
     m = MilpModel(f"kkt_follower[{k}]", "min")
     t = [m.add_var(f"t[{j}]", BINARY) for j in range(J)]
@@ -718,7 +717,7 @@ def build_kkt_follower(instance, k, leader, variant=DEFAULT_VARIANT,
 
 
 def solve_kkt_follower(instance, k, leader, variant=DEFAULT_VARIANT,
-                       config=None, backend="reference", registry=None):
+                       config=None, backend="reference"):
     """Solve the KKT reformulation; returns (optimum, residual audit, result).
 
     The raw MILP solve fixes the placement; the switch binaries are then
@@ -736,7 +735,7 @@ def solve_kkt_follower(instance, k, leader, variant=DEFAULT_VARIANT,
     (``SolverConfig.root_reduced_cost``): without it these MILPs took
     about 3x longer, while the masters, SP1 and SP2 are faster without it.
     """
-    km = build_kkt_follower(instance, k, leader, variant, registry=registry)
+    km = build_kkt_follower(instance, k, leader, variant)
     cfg = config or SolverConfig()
     cfg = replace(cfg, int_tol=min(cfg.int_tol, 1e-8), root_reduced_cost=True)
     res = backend_solve(backend, km.model, cfg)

@@ -332,6 +332,13 @@ def apply_scale(instance: Instance, factors: ScaleFactors) -> Instance:
     return out.validate()
 
 
+def grid_level(grid, price):
+    """The index of the level of ``grid`` that ``price`` equals within
+    1e-9 * max(1, |level|), or None."""
+    return next((v for v, g in enumerate(grid) if abs(g - price) <= 1e-9 * max(1.0, abs(g))),
+                None)
+
+
 # -- persistence -----------------------------------------------------
 
 
@@ -345,10 +352,12 @@ def from_dict(doc: dict) -> Instance:
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise InstanceError(
             f"unsupported schema version {doc.get('schema_version')!r}; expected {SCHEMA_VERSION}")
-    fields = {k: doc[k] for k in
-              ("I", "J", "K", "d", "d0", "C", "S", "f", "c", "p0", "p_grid",
-               "ps_grid", "R", "B", "s", "w", "psi", "phi", "Dmax", "a", "seed")}
-    return Instance(**fields).validate()
+    names = ("I", "J", "K", "d", "d0", "C", "S", "f", "c", "p0", "p_grid",
+             "ps_grid", "R", "B", "s", "w", "psi", "phi", "Dmax", "a", "seed")
+    missing = [k for k in names if k not in doc]
+    if missing:
+        raise InstanceError(f"instance document lacks {', '.join(missing)}")
+    return Instance(**{k: doc[k] for k in names}).validate()
 
 
 def save(instance: Instance, path):

@@ -91,23 +91,18 @@ class LpSolution:
 
 class _Sparse:
     """A matrix as its nonzeros, column by column; products run over
-    the nonzeros only (np.bincount sums each row or column in order)."""
+    the nonzeros only (np.bincount sums each row or column in order).
+
+    Takes a scipy CSC matrix in canonical form (no duplicates, rows
+    sorted within each column) and drops its explicit zeros.
+    """
 
     def __init__(self, A):
-        if hasattr(A, "tocoo"):  # scipy sparse
-            A = A.tocoo()
-            A.sum_duplicates()
-            rows, cols, vals = A.row, A.col, A.data.astype(float)
-        else:
-            A = np.asarray(A, dtype=float)
-            rows, cols = np.nonzero(A)
-            vals = A[rows, cols]
         self.m, self.n = A.shape
-        keep = np.flatnonzero(vals != 0.0)
-        order = keep[np.lexsort((rows[keep], cols[keep]))]
-        self.rows = rows[order].astype(np.intp)
-        self.cols = cols[order].astype(np.intp)
-        self.vals = vals[order]
+        keep = A.data != 0.0
+        self.rows = A.indices[keep].astype(np.intp)
+        self.cols = np.repeat(np.arange(self.n), np.diff(A.indptr))[keep]
+        self.vals = A.data[keep].astype(float)
         self.colptr = np.concatenate([[0], np.cumsum(np.bincount(self.cols, minlength=self.n))])
         self.rowptr = np.concatenate([[0], np.cumsum(np.bincount(self.rows, minlength=self.m))])
         self.by_row = np.lexsort((self.cols, self.rows))
@@ -286,7 +281,7 @@ class _Basis:
 class BoundedSimplex:
     """min c'x  s.t.  A x (<=,==,>=) b,  lb <= x <= ub (infinities allowed).
 
-    A is a dense array or a scipy sparse matrix.
+    A is a scipy CSC matrix in canonical form (see ``_Sparse``).
     """
 
     def __init__(self, A, b, senses, feas_tol=1e-7, refactor_every=80):

@@ -1,14 +1,17 @@
 """Exact solving of MilpModels.
 
-Two engines live behind one result contract:
+Two engines live behind one result contract, each reached by name
+through ``get_backend``:
 
-* the built-in reference engine (bounded-variable primal simplex plus a
-  deterministic best-first branch-and-bound on binaries), and
-* a scipy/HiGHS adapter, registered under the name ``"highs"``.
+* ``"reference"``, the built-in engine: a bounded-variable primal
+  simplex, which a model meets only through ``ModelLp``, plus a
+  deterministic best-first branch-and-bound on binaries over one
+  ``ModelLp``, and
+* ``"highs"``, an adapter for scipy's HiGHS.
 
-Additional engines can be registered through ``backend_register``; an
-adapter only has to accept a MilpModel and return a SolveResult with the
-same status vocabulary and tolerance semantics.
+An adapter is an object with ``solve_lp`` and ``solve_milp`` that
+returns SolveResults with the same status vocabulary and tolerance
+semantics, so ``solve_milp_certified`` also takes a test's fake.
 
 Both engines accept binaries within their integrality tolerance, so
 ``solve_milp``, ``backend_solve`` and the adapters return uncertified
@@ -67,7 +70,6 @@ class SolveError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    feas_tol: float = 1e-7
     int_tol: float = 1e-6
     mip_gap: float = 1e-8
     node_limit: int | None = None
@@ -76,7 +78,7 @@ class SolverConfig:
     root_reduced_cost: bool = False
 
     def validate(self):
-        if self.feas_tol <= 0 or self.int_tol <= 0 or self.mip_gap <= 0:
+        if self.int_tol <= 0 or self.mip_gap <= 0:
             raise ModelError("solver tolerances must be positive")
         if self.node_limit is not None and self.node_limit < 0:
             raise ModelError("node limit must be nonnegative")
@@ -123,38 +125,36 @@ class _ModelCore:
         self.binaries = model.binary_indices()
 
 
-def _make_engine(core, config):
-    return BoundedSimplex(core.A, core.b, core.senses, feas_tol=config.feas_tol)
-
-
-def _run_simplex(core, lb, ub, engine, start=None):
-    try:
-        sol = engine.solve(core.sense_mult * core.c, lb, ub, start)
-    except SimplexFailure as exc:
-        raise SolveError(f"simplex failure: {exc}") from exc
-    if sol.status == ITER_LIMIT:
-        raise SolveError("simplex iteration limit exceeded (after Bland fallback)")
-    return sol
-
-
 class ModelLp:
     """A model's LP (binaries relaxed to [0,1]) on the built-in engine,
-    extracted and equilibrated once and then solved under any bounds.
+    extracted and equilibrated once and then solved under any bounds;
+    the one place where a model meets ``BoundedSimplex``.
 
-    ``lb`` and ``ub`` are the model's own bounds.  ``solve`` returns the
-    SolveResult and the optimum's basis (None unless optimal), which a
-    later ``solve`` may take as its ``start``.
+    ``lb`` and ``ub`` are the model's own bounds.  ``run`` returns the
+    engine's LpSolution of min sense_mult·c'x (offset left out).
+    ``solve`` returns the SolveResult and the optimum's basis (None
+    unless optimal), which a later ``solve`` may take as its ``start``.
     """
 
-    def __init__(self, model: MilpModel, config: SolverConfig | None = None):
-        self.core = _ModelCore(model)
-        self.lb, self.ub = self.core.lb, self.core.ub
-        self.engine = _make_engine(self.core, (config or SolverConfig()).validate())
+    def __init__(self, model: MilpModel):
+        self.core = core = _ModelCore(model)
+        self.lb, self.ub = core.lb, core.ub
+        self.engine = BoundedSimplex(core.A, core.b, core.senses)
+
+    def run(self, lb, ub, start=None):
+        core = self.core
+        try:
+            sol = self.engine.solve(core.sense_mult * core.c, lb, ub, start)
+        except SimplexFailure as exc:
+            raise SolveError(f"simplex failure: {exc}") from exc
+        if sol.status == ITER_LIMIT:
+            raise SolveError("simplex iteration limit exceeded (after Bland fallback)")
+        return sol
 
     def solve(self, lb, ub, start=None):
         core = self.core
         t0 = time.perf_counter()
-        sol = _run_simplex(core, lb, ub, self.engine, start)
+        sol = self.run(lb, ub, start)
         stats = {"iterations": sol.iterations, "wall_time": time.perf_counter() - t0}
         if sol.status == INFEASIBLE:
             return SolveResult(STATUS_INFEASIBLE, stats=stats), None
@@ -168,8 +168,12 @@ class ModelLp:
 
 
 def solve_lp(model: MilpModel, config: SolverConfig | None = None) -> SolveResult:
-    """Solve the model as an LP (binaries relaxed to [0,1]); duals included."""
-    lp = ModelLp(model, config)
+    """Solve the model as an LP (binaries relaxed to [0,1]); duals included.
+
+    ``config`` completes the adapter signature: no setting in it applies
+    to an LP on the built-in engine.
+    """
+    lp = ModelLp(model)
     return lp.solve(lp.lb, lp.ub)[0]
 
 
@@ -184,9 +188,10 @@ def solve_milp(model: MilpModel, config: SolverConfig | None = None) -> SolveRes
     has no primal heuristics, so it ignores ``config.root_reduced_cost``.
     """
     config = (config or SolverConfig()).validate()
-    core = _ModelCore(model)
+    lp = ModelLp(model)
+    core = lp.core
     if not core.binaries:
-        return solve_lp(model, config)
+        return lp.solve(lp.lb, lp.ub)[0]
 
     t0 = time.perf_counter()
     deadline = t0 + config.time_limit if config.time_limit is not None else None
@@ -196,7 +201,6 @@ def solve_milp(model: MilpModel, config: SolverConfig | None = None) -> SolveRes
     total_iters = 0
     incumbent = None
     incumbent_internal = INF
-    engine = _make_engine(core, config)
 
     def lp_at(fixes):
         nonlocal nodes, total_iters
@@ -204,7 +208,7 @@ def solve_milp(model: MilpModel, config: SolverConfig | None = None) -> SolveRes
         ub = core.ub.copy()
         for idx, val in fixes.items():
             lb[idx] = ub[idx] = float(val)
-        sol = _run_simplex(core, lb, ub, engine)
+        sol = lp.run(lb, ub)
         nodes += 1
         total_iters += sol.iterations
         return sol
@@ -379,13 +383,11 @@ def backend_solve_polished(name, model, config=None):
     return solve_milp_certified(get_backend(name), model, config)
 
 
-# -- pluggable backends ----------------------------------------------
+# -- the two engines --------------------------------------------------
 
 
 class ReferenceBackend:
     """Adapter wrapping the built-in engine (identity adapter)."""
-
-    name = "reference"
 
     def solve_lp(self, model, config=None):
         return solve_lp(model, config)
@@ -401,8 +403,6 @@ HIGHS_MILP_OPTIONS = {"mip_heuristic_run_rins": False, "mip_heuristic_run_rens":
 
 class ScipyHighsBackend:
     """Adapter for scipy.optimize (HiGHS): linprog for LPs, milp for MILPs."""
-
-    name = "highs"
 
     def solve_lp(self, model, config=None):
         from scipy.optimize import linprog
@@ -448,8 +448,6 @@ class ScipyHighsBackend:
 
         config = (config or SolverConfig()).validate()
         core = _ModelCore(model)
-        if not core.binaries:
-            return self.solve_lp(model, config)
         lo = np.full(len(core.b), -np.inf)
         hi = np.full(len(core.b), np.inf)
         for r, sense in enumerate(core.senses):
@@ -482,13 +480,18 @@ class ScipyHighsBackend:
             return SolveResult(STATUS_INFEASIBLE, stats=stats)
         if res.status == 3:
             return SolveResult(STATUS_UNBOUNDED, stats=stats)
-        if res.status == 1 or (res.status == 4 and res.x is not None):
-            label = STATUS_TIME_LIMIT if config.time_limit is not None else STATUS_GAP_LIMIT
+        # HiGHS names what stopped it in its model status, which scipy
+        # appends to the message; scipy reports a node limit ("Solution
+        # limit reached") as status 4, with or without a point
+        message = str(res.message).lower()
+        if res.status == 1 or (res.status == 4 and (res.x is not None
+                                                    or "limit reached" in message)):
+            label = STATUS_TIME_LIMIT if "time limit" in message else STATUS_GAP_LIMIT
             if res.x is None:
                 return SolveResult(label, stats=stats)
             obj = core.sense_mult * res.fun + core.offset
             return SolveResult(label, objective=obj, values=res.x, stats=stats)
-        if res.status == 4 and "unbounded" in str(res.message).lower():
+        if res.status == 4 and "unbounded" in message:
             # ambiguous "infeasible or unbounded": settle it via the relaxation,
             # mirroring the reference engine's root-relaxation semantics
             relax = self.solve_lp(model, config)
@@ -503,35 +506,19 @@ class ScipyHighsBackend:
         return SolveResult(STATUS_OPTIMAL, objective=obj, values=x, stats=stats)
 
 
-_BACKENDS: dict = {}
-
-
-def backend_register(name, adapter):
-    """Register a solver adapter under a name (overwrites silently)."""
-    for attr in ("solve_lp", "solve_milp"):
-        if not callable(getattr(adapter, attr, None)):
-            raise ModelError(f"backend {name!r} does not implement {attr}")
-    _BACKENDS[name] = adapter
-    return adapter
-
-
-def backend_names():
-    return sorted(_BACKENDS)
+_ENGINES = {"reference": ReferenceBackend(), "highs": ScipyHighsBackend()}
 
 
 def get_backend(name):
-    if name not in _BACKENDS:
-        raise ModelError(f"unknown backend {name!r}; registered: {backend_names()}")
-    return _BACKENDS[name]
+    """The adapter of the engine named "reference" or "highs"."""
+    if name not in _ENGINES:
+        raise ModelError(f"unknown backend {name!r}; choose from {sorted(_ENGINES)}")
+    return _ENGINES[name]
 
 
 def backend_solve(name, model, config=None):
-    """Dispatch to a registered backend (MILP entry point; LPs pass through)."""
+    """Dispatch to an engine by name (MILP entry point; LPs pass through)."""
     adapter = get_backend(name)
     if model.binary_indices():
         return adapter.solve_milp(model, config)
     return adapter.solve_lp(model, config)
-
-
-backend_register("reference", ReferenceBackend())
-backend_register("highs", ScipyHighsBackend())

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from .bilevel import (Cut, block_keys, build_master, build_sp2, mp_size, run_algorithm1,
                       sp1_size, sp2_size)
 from .follower import LeaderDecision, ModelVariant, budget_cannot_bind, build_follower_milp
-from .instance import GenConfig, ScaleFactors, apply_scale, generate
+from .instance import GenConfig, ScaleFactors, apply_scale, generate, grid_level
 
 SCHEME_KINDS = ("dyn", "flat", "avg", "nostorage", "noplacement")
 
@@ -72,10 +72,10 @@ def solve_scheme(instance, scheme, epsilon=1e-4, config=None, backend="reference
         state = run_algorithm1(inst, flat=True, flat_storage=scheme.flat_storage, **kwargs)
     elif scheme.kind == "avg":
         for j in range(inst.J):
-            if all(abs(scheme.avg_price - g) > 1e-9 for g in inst.p_grid[j]):
+            if grid_level(inst.p_grid[j], scheme.avg_price) is None:
                 raise SchemeError(
                     f"avg price {scheme.avg_price} is not on the compute grid of EN {j}")
-            if all(abs(scheme.avg_sprice - g) > 1e-9 for g in inst.ps_grid[j]):
+            if grid_level(inst.ps_grid[j], scheme.avg_sprice) is None:
                 raise SchemeError(
                     f"avg storage price {scheme.avg_sprice} is not on the storage grid of EN {j}")
         state = run_algorithm1(inst, fixed_price=scheme.avg_price,

@@ -153,6 +153,12 @@ class TestPersistence:
         with pytest.raises(InstanceError, match="schema version"):
             from_dict(doc)
 
+    def test_missing_fields_named(self):
+        doc = to_dict(generate(GenConfig(I=3, J=2, K=1, graph_size=20, seed=0)))
+        del doc["psi"], doc["Dmax"]
+        with pytest.raises(InstanceError, match="lacks psi, Dmax"):
+            from_dict(doc)
+
     def test_manual_minimal_instance_loads(self, tmp_path):
         inst = make_manual_instance(I=2, J=1, K=1,
                                     d=[[4.0], [6.0]],

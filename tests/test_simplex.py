@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix, random_array
 
 from conftest import assert_dual_certificate
 from edgeprice import follower, simplex
@@ -105,7 +106,7 @@ def test_phase_one_stopped_by_the_limit_reports_it(monkeypatch):
     real_optimize = BoundedSimplex._optimize
     monkeypatch.setattr(BoundedSimplex, "_optimize",
                         lambda self, c=None: phases.append(c is None) or real_optimize(self, c))
-    eng = BoundedSimplex(np.array([[1.0, 1.0], [1.0, 0.0]]), [3.0, 1.0], ["==", "<="])
+    eng = BoundedSimplex(csc_matrix([[1.0, 1.0], [1.0, 0.0]]), [3.0, 1.0], ["==", "<="])
     sol = eng.solve(np.array([1.0, 2.0]), np.zeros(2), np.array([np.inf, 2.0]))
     assert sol.status == simplex.ITER_LIMIT and sol.iterations == 1
     assert phases == [True]
@@ -186,7 +187,7 @@ def test_basis_updates_match_a_dense_solve():
     for _ in range(20):
         A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.6)
         basis = n + np.arange(m)
-        fact = simplex._Basis(simplex._Sparse(A))
+        fact = simplex._Basis(simplex._Sparse(csc_matrix(A)))
         fact.refresh(basis)
         for _ in range(30):
             q = int(rng.choice(np.setdiff1d(np.arange(n + m), basis)))
@@ -203,3 +204,30 @@ def test_basis_updates_match_a_dense_solve():
             assert np.allclose(fact.ftran(v), np.linalg.solve(B, v), atol=1e-8)
             assert np.allclose(fact.btran(v), np.linalg.solve(B.T, v), atol=1e-8)
     assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_sparse_products_match_dense_ones():
+    """_Sparse reads a canonical CSC as it is; an explicit zero is dropped
+    and every product agrees with the dense matrix."""
+    rng = np.random.default_rng(3)
+    stored_zeros = 0
+    for trial in range(12):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        A = csc_matrix(random_array((m, n), density=0.4, format="csc", rng=rng))
+        if trial % 2 and A.nnz:
+            A.data[int(rng.integers(A.nnz))] = 0.0  # stored, but zero
+            stored_zeros += 1
+        dense = A.toarray()
+        S = simplex._Sparse(A)
+        assert S.vals.size == np.count_nonzero(dense)
+        x, y = rng.normal(size=n), rng.normal(size=m)
+        assert np.allclose(S.times(x), dense @ x, rtol=0, atol=1e-12)
+        assert np.allclose(S.priced(y), y @ dense, rtol=0, atol=1e-12)
+        for j in range(n):
+            assert np.array_equal(S.column(j), dense[:, j])
+        for i in range(m):
+            assert np.array_equal(S.row(i), dense[i])
+        rows = rng.permutation(m)[:int(rng.integers(1, m + 1))]
+        cols = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+        assert np.array_equal(S.block(rows, cols), dense[np.ix_(rows, cols)])
+    assert stored_zeros

@@ -12,8 +12,7 @@ from edgeprice.instance import GenConfig, generate
 from edgeprice.model import MilpModel, ModelError
 from edgeprice.solve import (STATUS_GAP_LIMIT, STATUS_INFEASIBLE, STATUS_OPTIMAL,
                              STATUS_TIME_LIMIT, STATUS_UNBOUNDED, SolveResult,
-                             SolverConfig, backend_names, backend_register,
-                             backend_solve, backend_solve_polished, get_backend,
+                             SolverConfig, backend_solve, backend_solve_polished, get_backend,
                              polish_binaries, solve_lp, solve_milp, solve_milp_certified)
 
 
@@ -249,26 +248,24 @@ class TestBackends:
         with pytest.raises(ModelError, match="unknown backend"):
             backend_solve("no-such-engine", m)
 
-    def test_register_contract(self):
-        class Bogus:
-            pass
-
-        with pytest.raises(ModelError):
-            backend_register("bogus", Bogus())
-
-        class Custom:
-            def solve_lp(self, model, config=None):
-                return solve_lp(model, config)
-
-            def solve_milp(self, model, config=None):
-                return solve_milp(model, config)
-
-        backend_register("custom", Custom())
-        assert "custom" in backend_names()
-        m = MilpModel("t", "max")
-        x = m.add_var("x", ub=1.0)
-        m.set_objective({x: 1.0})
-        assert backend_solve("custom", m.finalize()).objective == pytest.approx(1.0)
+    @pytest.mark.parametrize("sense", ["<=", "=="])
+    def test_node_limit_is_not_a_time_limit(self, sense):
+        """A node-limit stop reads gap-limit on both engines, also when a
+        time limit is set but not reached, and also without a point (the
+        equality knapsack, where neither engine finds one at the root)."""
+        rng = np.random.default_rng(7)
+        mdl = MilpModel("k40", "max")
+        bs = [mdl.add_var(f"b{i}", "binary") for i in range(40)]
+        wts = rng.uniform(10, 60, 40)
+        mdl.add_constraint({b: wts[i] for i, b in enumerate(bs)}, sense, wts.sum() / 2 + 0.3)
+        mdl.set_objective({b: wts[i] + rng.uniform(0, 5) for i, b in enumerate(bs)})
+        mdl.finalize()
+        config = SolverConfig(node_limit=1, time_limit=100.0)
+        for name in ("reference", "highs"):
+            res = get_backend(name).solve_milp(mdl, config)
+            assert res.status == STATUS_GAP_LIMIT, name
+            if sense == "==":
+                assert res.values is None, name
 
     def test_polished_solutions_are_exactly_integral(self):
         for m, expected in ((pattern_model(), 100.5), (leak_model(), 0.0)):
@@ -439,6 +436,6 @@ class TestTimeLimit:
 class TestConfigValidation:
     def test_bad_tolerances(self):
         with pytest.raises(ModelError):
-            SolverConfig(feas_tol=0.0).validate()
+            SolverConfig(int_tol=0.0).validate()
         with pytest.raises(ModelError):
             SolverConfig(node_limit=-1).validate()

@@ -26,6 +26,17 @@ class TestSchemes:
         with pytest.raises(SchemeError, match="not on the compute grid"):
             solve_scheme(inst, bad, backend="highs")
 
+    def test_avg_price_within_the_grid_tolerance(self):
+        """A price 5e-7 off a level of 1000 is that level (1e-9 relative),
+        for the avg scheme's check as for the master's fixed price."""
+        inst = make_manual_instance(p_grid=[[500.0, 1000.0]] * 2)
+        near = solve_scheme(inst, Scheme("avg", avg_price=1000.0 + 5e-7, avg_sprice=0.005),
+                            backend="highs")
+        exact = solve_scheme(inst, Scheme("avg", avg_price=1000.0, avg_sprice=0.005),
+                             backend="highs")
+        assert near.leader.p == exact.leader.p == [1000.0, 1000.0]
+        assert near.profit == exact.profit
+
     def test_unknown_scheme(self):
         with pytest.raises(SchemeError):
             Scheme("dynamic").validate()
