@@ -32,7 +32,6 @@ from dataclasses import dataclass, field, replace
 from .follower import (DEFAULT_VARIANT, LeaderDecision, ModelVariant, add_follower,
                        assemble_solution, budget_cannot_bind, derived_dual_bound,
                        follower_cost, read_follower, solve_sp1)
-from .instance import grid_level
 from .model import BINARY, BigMRegistry, Expr, MilpModel, ModelStats, link_one_hot
 from .solve import STATUS_OPTIMAL, SolverConfig, backend_solve_polished
 
@@ -155,8 +154,7 @@ def block_keys(cuts):
                               for cut in cuts for k, t in enumerate(cut.t_vectors)))
 
 
-def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
-                 flat_storage=True, fixed_price=None, fixed_sprice=None, name="master"):
+def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False, flat_storage=True):
     """Master MILP at the current cut pool (no cuts = the feasibility relaxation).
 
     The unmet-demand and cloud-procurement quantities are substituted
@@ -196,13 +194,21 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
       every optimum.  The LP without its budget row therefore has the
       same value, and its dual is the block with mu1 = 0; the
       closed-node term does not use mu1.
+
+    ``flat`` adds rows that tie every node's compute selectors, and with
+    ``flat_storage`` its storage selectors, to node 0's.  The master has no
+    other restriction: a scheme that pins prices builds it on an instance
+    whose grids hold only the pinned levels.  ``budget_cannot_bind`` and
+    ``derived_dual_bound`` then read those grids, and the proofs above and
+    in ``repair_dual_blocks`` hold for every valid instance, so the optimum
+    is that of the full grids with the selectors fixed.
     """
     inst = instance
     I, J, K, V, H = inst.I, inst.J, inst.K, inst.V, inst.H
     registry = BigMRegistry()
     dual_bound = derived_dual_bound(inst)
 
-    m = MilpModel(name, "max")
+    m = MilpModel("master", "max")
     z = [m.add_var(f"z[{j}]", BINARY) for j in range(J)]
     r = [[m.add_var(f"r[{j},{v}]", BINARY) for v in range(V)] for j in range(J)]
     rs = [[m.add_var(f"rs[{j},{h}]", BINARY) for h in range(H)] for j in range(J)]
@@ -325,8 +331,7 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
     if mu1s:
         registry.register("mp_kappa", dual_bound, watch=mu1s)
 
-    # optional scheme restrictions (these add rows, so size audits use the
-    # unrestricted build)
+    # flat pricing (its rows are extra, so size audits use the unrestricted build)
     if flat:
         for j in range(1, J):
             for v in range(V):
@@ -337,18 +342,6 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False,
                 for h in range(H):
                     m.add_constraint({rs[0][h]: 1.0, rs[j][h]: -1.0}, "==", 0.0,
                                      name=f"flat_ps[{j},{h}]", family="mp_flat")
-    if fixed_price is not None:
-        for j in range(J):
-            sel = _grid_index(inst.p_grid[j], fixed_price, f"fixed price at EN {j}")
-            for v in range(V):
-                var = m.variables[r[j][v]]
-                var.lb = var.ub = 1.0 if v == sel else 0.0
-    if fixed_sprice is not None:
-        for j in range(J):
-            sel = _grid_index(inst.ps_grid[j], fixed_sprice, f"fixed storage price at EN {j}")
-            for h in range(H):
-                var = m.variables[rs[j][h]]
-                var.lb = var.ub = 1.0 if h == sel else 0.0
 
     # platform profit: placement + edge revenue - operating cost
     obj = Expr()
@@ -450,34 +443,24 @@ def _add_block(m, inst, variant, registry, idx, cost, k, t):
     return blk
 
 
-def _grid_index(grid, price, label):
-    v = grid_level(grid, price)
-    if v is None:
-        raise BilevelError(f"{label}: {price} is not on the grid {grid}")
-    return v
-
-
 def _master_leader(instance, bundle, vals, canonical=True):
-    """The leader decision a master point encodes.
+    """The leader decision a master point encodes: each price is the grid
+    level its selected selector names.
 
     A node the master closes (z_j = 0) serves no follower, and every block
     projects to the same cut whatever its price, so the engine may park
-    its selectors anywhere.  With ``canonical``, such a row is reported at
-    the lowest level its bounds allow (the first, or the fixed price's),
-    unless flat pricing ties it to an open node's.
+    its selectors anywhere.  With ``canonical``, such a node reports its
+    grid's first level, unless flat pricing ties it to an open node's.
     """
     z = [int(round(vals[i])) for i in bundle.idx["z"]]
-    rows = {}
-    for family in ("r", "rs"):
+    prices = {}
+    for family, grids in (("r", instance.p_grid), ("rs", instance.ps_grid)):
         free = canonical and not (family in bundle.tied and any(z))
-        rows[family] = []
+        prices[family] = []
         for j, sel in enumerate(bundle.idx[family]):
-            row = [int(round(vals[i])) for i in sel]
-            if free and not z[j]:
-                low = next(v for v, i in enumerate(sel) if bundle.model.variables[i].ub > 0)
-                row = [int(v == low) for v in range(len(sel))]
-            rows[family].append(row)
-    return LeaderDecision.from_selectors(instance, z=z, **rows)
+            level = 0 if free and not z[j] else next(v for v, i in enumerate(sel) if vals[i] > 0.5)
+            prices[family].append(grids[j][level])
+    return LeaderDecision(p=prices["r"], ps=prices["rs"], z=z)
 
 
 def extract_master_solution(instance, bundle, result):
@@ -686,8 +669,7 @@ def platform_profit(instance, leader, solutions):
 
 
 def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
-                   backend="reference", flat=False, flat_storage=True,
-                   fixed_price=None, fixed_sprice=None, max_iterations=None,
+                   backend="reference", flat=False, flat_storage=True, max_iterations=None,
                    time_limit=None):
     """Master/subproblem iteration until the relative gap closes.
 
@@ -695,8 +677,10 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
     (a repeated placement vector proves optimality), or "limit".  It always
     carries an incumbent: before the first master, LB = 0 and the incumbent
     are seeded with the leader that switches every node off (z = 0 forces
-    t = 0 and y = 0, so the profit is exactly 0), its prices at the grid's
-    first level or at the fixed prices, and each follower's SP1 response.
+    t = 0 and y = 0, so the profit is exactly 0), its prices at each grid's
+    first level, and each follower's SP1 response.  ``flat`` ties the
+    nodes' prices together; a scheme that pins prices runs on an instance
+    whose grids hold only the pinned levels (see ``strategies``).
     """
     if epsilon <= 0:
         raise BilevelError("epsilon must be positive")
@@ -708,10 +692,8 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
     deadline = t_start + time_limit if time_limit is not None else None
     scale_tol = 1e-6
 
-    state.incumbent_leader = LeaderDecision.from_prices(
-        inst, p=[inst.p_grid[j][0] if fixed_price is None else fixed_price for j in range(J)],
-        ps=[inst.ps_grid[j][0] if fixed_sprice is None else fixed_sprice for j in range(J)],
-        z=[0] * J)
+    state.incumbent_leader = LeaderDecision(p=[grid[0] for grid in inst.p_grid],
+                                            ps=[grid[0] for grid in inst.ps_grid], z=[0] * J)
     state.incumbent_solutions = [solve_sp1(inst, k, state.incumbent_leader, variant, config,
                                            backend)[0] for k in range(inst.K)]
     state.LB = 0.0
@@ -722,8 +704,7 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
             break
         state.iteration += 1
         bundle = build_master(inst, state.cuts, variant=variant, flat=flat,
-                              flat_storage=flat_storage, fixed_price=fixed_price,
-                              fixed_sprice=fixed_sprice)
+                              flat_storage=flat_storage)
         res = _solve_master(inst, bundle, config, backend)
         if res.status != STATUS_OPTIMAL:
             raise BilevelError(f"master ended with status {res.status} at iteration "
@@ -831,13 +812,14 @@ def solve_bruteforce(instance, variant=DEFAULT_VARIANT, config=None,
 
 
 def verify_bilevel_solution(instance, leader, solutions, variant=DEFAULT_VARIANT,
-                            tol=1e-6, config=None, backend="reference"):
+                            config=None, backend="reference"):
     """Membership report for the bilevel feasible set.
 
     Checks platform feasibility, per-service feasibility, and per-service
-    optimality (fresh exact follower solves); never raises on violations,
-    the report carries them.
+    optimality (fresh exact follower solves), each within a relative
+    tolerance of 1e-6; never raises on violations, the report carries them.
     """
+    tol = 1e-6
     inst = instance
     J, K = inst.J, inst.K
     report = {"ok": True, "platform": {}, "followers": [], "profit":

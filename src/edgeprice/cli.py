@@ -23,6 +23,7 @@ import time
 from . import __version__
 from .bilevel import run_algorithm1, solve_bruteforce
 from .instance import GenConfig, generate, load, save
+from .solve import BACKENDS, SolverConfig
 from .strategies import (SWEEP_COLUMNS, Scheme, SweepSpec, audit_sizes, run_sweep,
                          solve_scheme)
 
@@ -35,10 +36,6 @@ PRESETS = {
     "tiny": dict(I=3, J=2, K=1),
     "tableIV-small": dict(I=6, J=4, K=3),
 }
-
-
-def _default_backend():
-    return os.environ.get("EDGEPRICE_BACKEND", "highs")
 
 
 @contextlib.contextmanager
@@ -99,8 +96,6 @@ def cmd_generate(args):
 
 
 def cmd_solve(args):
-    from .solve import SolverConfig
-
     t0 = time.perf_counter()
     inst = load(args.instance)
     os.makedirs(args.out, exist_ok=True)
@@ -200,7 +195,7 @@ def cmd_sweep(args):
                      base_seed=raw.get("base_seed", 0),
                      epsilon=raw.get("epsilon", 1e-4),
                      backend=raw.get("backend", args.backend),
-                     gen=gen, time_limit=raw.get("time_limit"))
+                     gen=gen, time_limit=raw.get("time_limit")).validate()
     os.makedirs(args.out, exist_ok=True)
     with stdout_to_stderr():
         rows = run_sweep(spec)
@@ -268,7 +263,7 @@ def build_parser():
     s.add_argument("--epsilon", type=float, default=1e-4)
     s.add_argument("--time-limit", type=float, default=None)
     s.add_argument("--node-limit", type=int, default=None)
-    s.add_argument("--backend", default=_default_backend())
+    s.add_argument("--backend", choices=BACKENDS, default="highs")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_solve)
 
@@ -277,13 +272,13 @@ def build_parser():
     c.add_argument("--epsilon", type=float, default=1e-4)
     c.add_argument("--time-limit", type=float, default=None)
     c.add_argument("--max-cuts", type=int, default=1024)
-    c.add_argument("--backend", default=_default_backend())
+    c.add_argument("--backend", choices=BACKENDS, default="highs")
     c.add_argument("--out", required=True)
     c.set_defaults(func=cmd_compare)
 
     w = sub.add_parser("sweep", help="run a sensitivity sweep from a JSON spec")
     w.add_argument("spec")
-    w.add_argument("--backend", default=_default_backend())
+    w.add_argument("--backend", choices=BACKENDS, default="highs")
     w.add_argument("--out", required=True)
     w.set_defaults(func=cmd_sweep)
 

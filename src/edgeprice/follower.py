@@ -76,42 +76,23 @@ DEFAULT_VARIANT = ModelVariant()
 
 @dataclass
 class LeaderDecision:
-    p: list            # [j] compute price
-    ps: list           # [j] storage price
+    p: list            # [j] compute price, a level of p_grid[j]
+    ps: list           # [j] storage price, a level of ps_grid[j]
     z: list            # [j] activation in {0,1}
-    r: list            # [j][v] compute price selectors
-    rs: list           # [j][h] storage price selectors
 
     @classmethod
     def from_prices(cls, instance, p, ps, z):
         """The leader at the grid levels that p and ps equal (``grid_level``)."""
-        r = [_one_hot(instance.p_grid[j], p[j], f"p[{j}]") for j in range(instance.J)]
-        rs = [_one_hot(instance.ps_grid[j], ps[j], f"ps[{j}]") for j in range(instance.J)]
-        return cls.from_selectors(instance, r, rs, z)
+        return cls(p=[_level(instance.p_grid[j], p[j], f"p[{j}]") for j in range(instance.J)],
+                   ps=[_level(instance.ps_grid[j], ps[j], f"ps[{j}]") for j in range(instance.J)],
+                   z=[int(v) for v in z])
 
-    @classmethod
-    def from_selectors(cls, instance, r, rs, z):
-        p = [sum(instance.p_grid[j][v] * r[j][v] for v in range(instance.V))
-             for j in range(instance.J)]
-        ps = [sum(instance.ps_grid[j][h] * rs[j][h] for h in range(instance.H))
-              for j in range(instance.J)]
-        return cls(p=p, ps=ps, z=[int(v) for v in z],
-                   r=[[int(v) for v in row] for row in r],
-                   rs=[[int(v) for v in row] for row in rs])
-
-    def validate(self, instance, tol=1e-9):
-        J = instance.J
-        for j in range(J):
+    def validate(self, instance):
+        for j in range(instance.J):
             if self.z[j] not in (0, 1):
                 raise FollowerError(f"z[{j}] must be 0/1")
-            for sel, grid, price, label in ((self.r[j], instance.p_grid[j], self.p[j], "p"),
-                                            (self.rs[j], instance.ps_grid[j], self.ps[j], "ps")):
-                if abs(sum(sel) - 1.0) > tol or any(v not in (0, 1) for v in sel):
-                    raise FollowerError(f"{label}-selector row {j} is not one-hot")
-                implied = sum(g * s for g, s in zip(grid, sel))
-                if abs(implied - price) > tol:
-                    raise FollowerError(
-                        f"{label}[{j}]={price} inconsistent with its selector (grid value {implied})")
+            _level(instance.p_grid[j], self.p[j], f"p[{j}]")
+            _level(instance.ps_grid[j], self.ps[j], f"ps[{j}]")
         return self
 
     def placement_price(self, instance, k, j):
@@ -119,11 +100,12 @@ class LeaderDecision:
         return instance.phi[j][k] + instance.s_tb(k) * self.ps[j]
 
 
-def _one_hot(grid, price, label):
+def _level(grid, price, label):
+    """The level of ``grid`` that ``price`` equals (``grid_level``)."""
     v = grid_level(grid, price)
     if v is None:
         raise FollowerError(f"{label}={price} is not a member of the grid {grid}")
-    return [1 if u == v else 0 for u in range(len(grid))]
+    return grid[v]
 
 
 @dataclass
@@ -348,9 +330,9 @@ def assemble_solution(instance, k, leader, x, x0, q, y, y0, t):
     return FollowerSolution(x=x, x0=x0, q=q, y=y, y0=y0, t=list(t), costs=costs, avg_delay=avg)
 
 
-def cost_breakdown(instance, k, leader, sol, variant=DEFAULT_VARIANT, tol=1e-6):
+def cost_breakdown(instance, k, leader, sol, variant=DEFAULT_VARIANT):
     """Recompute the five cost components of a solution; rejects invalid input."""
-    sol.validate(instance, k, leader, variant, tol=tol)
+    sol.validate(instance, k, leader, variant)
     fresh = assemble_solution(instance, k, leader, sol.x, sol.x0, sol.q, sol.y, sol.y0, sol.t)
     return fresh.costs
 
@@ -373,7 +355,6 @@ class FixedPlacementResult:
     lp_value: float | None = None
     solution: FollowerSolution | None = None
     dual: DualSolution | None = None
-    dual_ray: bool = False           # infeasible fixed-t LP: unbounded dual route
     reason: str = ""
 
 
@@ -435,17 +416,16 @@ def solve_fixed_t_lp(instance, k, leader, t, variant=DEFAULT_VARIANT,
     t = [int(v) for v in t]
     for j in range(J):
         if t[j] > leader.z[j]:
-            return FixedPlacementResult(STATUS_INFEASIBLE, dual_ray=True,
-                                        reason=f"t[{j}]=1 at inactive EN {j}")
+            return FixedPlacementResult(STATUS_INFEASIBLE, reason=f"t[{j}]=1 at inactive EN {j}")
     placement = sum(_placement_cost(instance, k, leader, j, variant) * t[j] for j in range(J))
     if instance.B[k] - placement < -1e-12:
-        return FixedPlacementResult(STATUS_INFEASIBLE, dual_ray=True,
-                                    reason=f"placement cost {placement:.6g} exceeds budget {instance.B[k]:.6g}")
+        return FixedPlacementResult(STATUS_INFEASIBLE, reason=f"placement cost {placement:.6g} "
+                                    f"exceeds budget {instance.B[k]:.6g}")
 
     res = family.solve(t)
     h = family.h
     if res.status == STATUS_INFEASIBLE:
-        return FixedPlacementResult(STATUS_INFEASIBLE, dual_ray=True, reason="LP infeasible")
+        return FixedPlacementResult(STATUS_INFEASIBLE, reason="LP infeasible")
     if res.status != STATUS_OPTIMAL:
         raise SolveError(f"fixed-t LP ended with status {res.status}")
 

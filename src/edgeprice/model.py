@@ -77,10 +77,10 @@ class Expr:
             self.coeffs[idx] = self.coeffs.get(idx, 0.0) + coef
         return self
 
-    def add_expr(self, other, scale=1.0):
+    def add_expr(self, other):
         for idx, coef in other.coeffs.items():
-            self.add(idx, scale * coef)
-        self.constant += scale * other.constant
+            self.add(idx, coef)
+        self.constant += other.constant
         return self
 
     def value(self, x):

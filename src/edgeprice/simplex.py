@@ -49,6 +49,8 @@ import numpy as np
 import scipy.linalg as sla
 
 INF = np.inf
+# primal feasibility tolerance, relative to 1 + the largest scaled |b_i|
+FEAS_TOL = 1e-7
 
 AT_LB, AT_UB, NB_FREE, BASIC = 0, 1, 2, 3
 # the direction in which pricing may move a variable, by status
@@ -138,8 +140,8 @@ class _Sparse:
         K[ri[self.rows[at]], ci[self.cols[at]]] = self.vals[at]
         return K
 
-    def equilibrate(self, rounds=2):
-        """Iterative geometric-mean scaling, applied in place; returns
+    def equilibrate(self):
+        """Two rounds of geometric-mean scaling, applied in place; returns
         (row_scale, col_scale)."""
         rows, cols = self.rows, self.cols
         r = np.ones(self.m)
@@ -147,7 +149,7 @@ class _Sparse:
         row_cnt = np.diff(self.rowptr)
         col_cnt = np.diff(self.colptr)
         absA = np.abs(self.vals)
-        for _ in range(rounds):
+        for _ in range(2):
             has = row_cnt > 0
             sums = np.bincount(rows, np.log2(absA * r[rows] * c[cols]), self.m)
             r[has] *= np.exp2(-np.round(sums[has] / row_cnt[has]))
@@ -284,12 +286,11 @@ class BoundedSimplex:
     A is a scipy CSC matrix in canonical form (see ``_Sparse``).
     """
 
-    def __init__(self, A, b, senses, feas_tol=1e-7, refactor_every=80):
+    def __init__(self, A, b, senses, refactor_every=80):
         self._A = _Sparse(A)
         self.m, self.n = self._A.m, self._A.n
         self.b_orig = np.asarray(b, dtype=float)
         self.senses = list(senses)
-        self.feas_tol = feas_tol
         self.refactor_every = refactor_every
 
         self.row_scale, self.col_scale = self._A.equilibrate()
@@ -410,7 +411,7 @@ class BoundedSimplex:
         if st == INFEASIBLE:
             # double-check against the true residual before declaring infeasible
             self._recompute_basics()
-            if self._infeasibility() > self.feas_tol * self._b_ref:
+            if self._infeasibility() > FEAS_TOL * self._b_ref:
                 return LpSolution(INFEASIBLE, iterations=self._iters)
         return self._finish(c)
 
@@ -438,7 +439,7 @@ class BoundedSimplex:
             if st == UNBOUNDED:
                 return LpSolution(UNBOUNDED, iterations=self._iters)
             self._recompute_basics()
-            if self._infeasibility() <= 50 * self.feas_tol * self._b_ref:
+            if self._infeasibility() <= 50 * FEAS_TOL * self._b_ref:
                 break
             # tiny ratio-test damage accumulated into real violations:
             # phase 1 drives the basic variables back inside their

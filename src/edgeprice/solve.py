@@ -507,6 +507,7 @@ class ScipyHighsBackend:
 
 
 _ENGINES = {"reference": ReferenceBackend(), "highs": ScipyHighsBackend()}
+BACKENDS = tuple(_ENGINES)
 
 
 def get_backend(name):

@@ -12,8 +12,12 @@ Schemes:
 * ``noplacement``  -- services pay neither installation nor storage, the
                       older provisioning model.
 
-The first three have nested feasible sets, so their optimal profits are
-ordered dyn >= flat >= avg on every instance; the test suite asserts
+``avg`` and ``nostorage`` pin prices the same way: Algorithm 1 runs on a
+copy of the instance whose grids hold the single pinned level per node
+(``avg`` both grids, at the levels of the original grids, so its leader
+is also one of the original instance; ``nostorage`` the storage grid, at
+0).  The first three have nested feasible sets, so their optimal profits
+are ordered dyn >= flat >= avg on every instance; the test suite asserts
 this exactly.  Sweeps emit flat CSV-ready rows, one per
 (scheme, axis value, replicate).
 """
@@ -26,6 +30,7 @@ from .bilevel import (Cut, block_keys, build_master, build_sp2, mp_size, run_alg
                       sp1_size, sp2_size)
 from .follower import LeaderDecision, ModelVariant, budget_cannot_bind, build_follower_milp
 from .instance import GenConfig, ScaleFactors, apply_scale, generate, grid_level
+from .solve import BACKENDS
 
 SCHEME_KINDS = ("dyn", "flat", "avg", "nostorage", "noplacement")
 
@@ -58,6 +63,18 @@ class SchemeResult:
     reports: list = field(default_factory=list)
 
 
+def _single_level(instance, p=None, ps=None):
+    """A copy of the instance whose compute grid at node j holds p[j]
+    alone, and whose storage grid holds ps[j] alone (a grid left None is
+    kept)."""
+    pinned = instance.copy()
+    if p is not None:
+        pinned.p_grid = [[v] for v in p]
+    if ps is not None:
+        pinned.ps_grid = [[v] for v in ps]
+    return pinned.validate()
+
+
 def solve_scheme(instance, scheme, epsilon=1e-4, config=None, backend="reference",
                  time_limit=None, max_iterations=None):
     """Solve one pricing scheme to bilevel optimality; returns SchemeResult."""
@@ -71,21 +88,21 @@ def solve_scheme(instance, scheme, epsilon=1e-4, config=None, backend="reference
     elif scheme.kind == "flat":
         state = run_algorithm1(inst, flat=True, flat_storage=scheme.flat_storage, **kwargs)
     elif scheme.kind == "avg":
+        p, ps = [], []
         for j in range(inst.J):
-            if grid_level(inst.p_grid[j], scheme.avg_price) is None:
+            v = grid_level(inst.p_grid[j], scheme.avg_price)
+            if v is None:
                 raise SchemeError(
                     f"avg price {scheme.avg_price} is not on the compute grid of EN {j}")
-            if grid_level(inst.ps_grid[j], scheme.avg_sprice) is None:
+            h = grid_level(inst.ps_grid[j], scheme.avg_sprice)
+            if h is None:
                 raise SchemeError(
                     f"avg storage price {scheme.avg_sprice} is not on the storage grid of EN {j}")
-        state = run_algorithm1(inst, fixed_price=scheme.avg_price,
-                               fixed_sprice=scheme.avg_sprice, **kwargs)
+            p.append(inst.p_grid[j][v])
+            ps.append(inst.ps_grid[j][h])
+        state = run_algorithm1(_single_level(inst, p=p, ps=ps), **kwargs)
     elif scheme.kind == "nostorage":
-        zeroed = inst.copy()
-        zeroed.ps_grid = [[0.0] for _ in range(inst.J)]
-        zeroed.validate()
-        inst = zeroed
-        state = run_algorithm1(inst, **kwargs)
+        state = run_algorithm1(_single_level(inst, ps=[0.0] * inst.J), **kwargs)
     else:  # noplacement
         state = run_algorithm1(inst, variant=ModelVariant(placement_in_follower=False),
                                **kwargs)
@@ -130,6 +147,8 @@ class SweepSpec:
                 raise SchemeError(f"axis {self.axis} values must be nonnegative")
         if self.axis == "I" and any(int(v) <= 0 for v in self.values):
             raise SchemeError("area counts must be positive")
+        if self.backend not in BACKENDS:
+            raise SchemeError(f"unknown backend {self.backend!r}; choose from {BACKENDS}")
         for s in self.schemes:
             (s if isinstance(s, Scheme) else Scheme(kind=str(s))).validate()
         return self

@@ -81,6 +81,21 @@ class TestSolve:
         doc = json.loads((outdir / "solution.json").read_text())
         assert doc["status"] == "limit"
 
+    def test_unknown_backend_creates_no_output_directory(self, tmp_path):
+        inst = tmp_path / "inst.json"
+        run_cli("generate", "--preset", "tiny", "--seed", "5", "-o", str(inst))
+        outdir = tmp_path / "run"
+        res = run_cli("solve", str(inst), "--backend", "higs", "--out", str(outdir))
+        assert res.returncode != 0 and "higs" in res.stderr
+        assert not outdir.exists()
+        # a sweep spec names its own backend; it is checked before the directory is made
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"schemes": ["dyn"], "axis": "p0", "values": [0.02],
+                                         "backend": "higs"}))
+        res = run_cli("sweep", str(spec_path), "--out", str(outdir))
+        assert res.returncode == 1 and "higs" in res.stderr
+        assert not outdir.exists()
+
 
 class TestCompare:
     def test_agreement_small(self, tmp_path):

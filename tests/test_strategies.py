@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edgeprice.bilevel import verify_bilevel_solution
 from edgeprice.instance import GenConfig, generate
 from edgeprice.strategies import (Scheme, SchemeError, SweepSpec, audit_sizes,
                                   run_sweep, solve_scheme)
@@ -20,6 +21,19 @@ class TestSchemes:
         assert all(p == pytest.approx(0.03) for p in out.leader.p)
         assert all(p == pytest.approx(0.01) for p in out.leader.ps)
 
+    def test_avg_optimum_on_a_criterion_6_instance(self):
+        # seed 602 is the one instance of criterion 6 (seeds 600-609) whose
+        # avg optimum is positive
+        inst = generate(GenConfig(I=6, J=4, K=3, graph_size=60, seed=602))
+        out = solve_scheme(inst, Scheme("avg"), epsilon=1e-8, backend="highs")
+        assert out.status in ("gap-closed", "duplicate-t")
+        assert out.profit == pytest.approx(1.116316757326, rel=1e-9)
+        assert out.leader.z == [0, 0, 1, 0]
+        assert out.leader.validate(inst) is out.leader
+        report = verify_bilevel_solution(inst, out.leader, out.solutions, backend="highs")
+        assert report["ok"]
+        assert report["profit"] == pytest.approx(out.profit, rel=1e-9)
+
     def test_avg_off_grid_rejected(self):
         inst = make_manual_instance()  # grid [0.01, 0.03, 0.05] contains 0.03
         bad = Scheme("avg", avg_price=0.025)
@@ -27,8 +41,8 @@ class TestSchemes:
             solve_scheme(inst, bad, backend="highs")
 
     def test_avg_price_within_the_grid_tolerance(self):
-        """A price 5e-7 off a level of 1000 is that level (1e-9 relative),
-        for the avg scheme's check as for the master's fixed price."""
+        """A price 5e-7 off a level of 1000 is that level (1e-9 relative):
+        the avg scheme pins the grid's level, not the price it was given."""
         inst = make_manual_instance(p_grid=[[500.0, 1000.0]] * 2)
         near = solve_scheme(inst, Scheme("avg", avg_price=1000.0 + 5e-7, avg_sprice=0.005),
                             backend="highs")
@@ -142,6 +156,8 @@ class TestSweep:
             self._spec(replicates=0).validate()
         with pytest.raises(SchemeError):
             self._spec(values=[]).validate()
+        with pytest.raises(SchemeError, match="unknown backend"):
+            self._spec(backend="higs").validate()
 
 
 class TestAuditSizes:
