@@ -16,5 +16,5 @@ from .follower import (DualSolution, FollowerSolution, LeaderDecision,  # noqa: 
 from .bilevel import (AlgorithmState, Cut, MasterSolution, build_master,  # noqa: F401
                       mp_size, run_algorithm1, solve_bruteforce, solve_hpp,
                       solve_sp2, sp1_size, sp2_size, verify_bilevel_solution)
-from .strategies import (Scheme, SweepSpec, audit_sizes, run_sweep,  # noqa: F401
+from .strategies import (SweepSpec, audit_sizes, run_sweep,  # noqa: F401
                          solve_scheme)

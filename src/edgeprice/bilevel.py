@@ -99,7 +99,7 @@ class MasterModel:
     registry: BigMRegistry
     idx: dict             # handle map: tag group -> indices; "blocks" and their "M"
     variant: ModelVariant
-    tied: tuple           # the selector families ("r", "rs") flat pricing ties across nodes
+    tied: bool            # flat pricing ties every node's selectors to node 0's
 
 
 @dataclass
@@ -154,7 +154,7 @@ def block_keys(cuts):
                               for cut in cuts for k, t in enumerate(cut.t_vectors)))
 
 
-def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False, flat_storage=True):
+def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False):
     """Master MILP at the current cut pool (no cuts = the feasibility relaxation).
 
     The unmet-demand and cloud-procurement quantities are substituted
@@ -195,13 +195,15 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False, flat_stora
       same value, and its dual is the block with mu1 = 0; the
       closed-node term does not use mu1.
 
-    ``flat`` adds rows that tie every node's compute selectors, and with
-    ``flat_storage`` its storage selectors, to node 0's.  The master has no
-    other restriction: a scheme that pins prices builds it on an instance
-    whose grids hold only the pinned levels.  ``budget_cannot_bind`` and
-    ``derived_dual_bound`` then read those grids, and the proofs above and
-    in ``repair_dual_blocks`` hold for every valid instance, so the optimum
-    is that of the full grids with the selectors fixed.
+    ``flat`` adds rows that tie every node's compute and storage selectors
+    to node 0's.  The master has no other restriction: a scheme that pins
+    prices builds it on an instance whose grids hold only the pinned
+    levels.  ``budget_cannot_bind`` and ``derived_dual_bound`` then read
+    those grids, and the proofs above and in ``repair_dual_blocks`` hold
+    for every valid instance, so the optimum is that of the full grids
+    with the selectors fixed.  ``avg`` pins the same level index at every
+    node, one that ``flat`` can also select, so its optimum is never above
+    ``flat``'s.
     """
     inst = instance
     I, J, K, V, H = inst.I, inst.J, inst.K, inst.V, inst.H
@@ -337,11 +339,10 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False, flat_stora
             for v in range(V):
                 m.add_constraint({r[0][v]: 1.0, r[j][v]: -1.0}, "==", 0.0,
                                  name=f"flat_p[{j},{v}]", family="mp_flat")
-        if flat_storage:
-            for j in range(1, J):
-                for h in range(H):
-                    m.add_constraint({rs[0][h]: 1.0, rs[j][h]: -1.0}, "==", 0.0,
-                                     name=f"flat_ps[{j},{h}]", family="mp_flat")
+        for j in range(1, J):
+            for h in range(H):
+                m.add_constraint({rs[0][h]: 1.0, rs[j][h]: -1.0}, "==", 0.0,
+                                 name=f"flat_ps[{j},{h}]", family="mp_flat")
 
     # platform profit: placement + edge revenue - operating cost
     obj = Expr()
@@ -359,7 +360,7 @@ def build_master(instance, cuts, variant=DEFAULT_VARIANT, flat=False, flat_stora
     m.set_objective(obj)
 
     return MasterModel(model=m.finalize(), registry=registry, idx=idx, variant=variant,
-                       tied=(("r", "rs") if flat_storage else ("r",)) if flat else ())
+                       tied=flat)
 
 
 def _add_block(m, inst, variant, registry, idx, cost, k, t):
@@ -453,9 +454,9 @@ def _master_leader(instance, bundle, vals, canonical=True):
     grid's first level, unless flat pricing ties it to an open node's.
     """
     z = [int(round(vals[i])) for i in bundle.idx["z"]]
+    free = canonical and not (bundle.tied and any(z))
     prices = {}
     for family, grids in (("r", instance.p_grid), ("rs", instance.ps_grid)):
-        free = canonical and not (family in bundle.tied and any(z))
         prices[family] = []
         for j, sel in enumerate(bundle.idx[family]):
             level = 0 if free and not z[j] else next(v for v, i in enumerate(sel) if vals[i] > 0.5)
@@ -669,7 +670,7 @@ def platform_profit(instance, leader, solutions):
 
 
 def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
-                   backend="reference", flat=False, flat_storage=True, max_iterations=None,
+                   backend="reference", flat=False, max_iterations=None,
                    time_limit=None):
     """Master/subproblem iteration until the relative gap closes.
 
@@ -678,9 +679,10 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
     carries an incumbent: before the first master, LB = 0 and the incumbent
     are seeded with the leader that switches every node off (z = 0 forces
     t = 0 and y = 0, so the profit is exactly 0), its prices at each grid's
-    first level, and each follower's SP1 response.  ``flat`` ties the
-    nodes' prices together; a scheme that pins prices runs on an instance
-    whose grids hold only the pinned levels (see ``strategies``).
+    first level, and each follower's SP1 response.  ``flat`` ties every
+    node's compute and storage price levels to node 0's; a scheme that
+    pins prices runs on an instance whose grids hold only the pinned
+    levels (see ``strategies``).
     """
     if epsilon <= 0:
         raise BilevelError("epsilon must be positive")
@@ -703,8 +705,7 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
             state.status = "limit"
             break
         state.iteration += 1
-        bundle = build_master(inst, state.cuts, variant=variant, flat=flat,
-                              flat_storage=flat_storage)
+        bundle = build_master(inst, state.cuts, variant=variant, flat=flat)
         res = _solve_master(inst, bundle, config, backend)
         if res.status != STATUS_OPTIMAL:
             raise BilevelError(f"master ended with status {res.status} at iteration "

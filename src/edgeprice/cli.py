@@ -23,8 +23,8 @@ import time
 from . import __version__
 from .bilevel import run_algorithm1, solve_bruteforce
 from .instance import GenConfig, generate, load, save
-from .solve import BACKENDS, SolverConfig
-from .strategies import (SWEEP_COLUMNS, Scheme, SweepSpec, audit_sizes, run_sweep,
+from .solve import BACKENDS
+from .strategies import (SCHEME_KINDS, SWEEP_COLUMNS, SweepSpec, audit_sizes, run_sweep,
                          solve_scheme)
 
 EXIT_OK = 0
@@ -98,13 +98,11 @@ def cmd_generate(args):
 def cmd_solve(args):
     t0 = time.perf_counter()
     inst = load(args.instance)
-    os.makedirs(args.out, exist_ok=True)
-    scheme = Scheme(kind=args.scheme)
-    config = SolverConfig(node_limit=args.node_limit) if args.node_limit else None
     with stdout_to_stderr():
-        result = solve_scheme(inst, scheme, epsilon=args.epsilon, config=config,
+        result = solve_scheme(inst, args.scheme, epsilon=args.epsilon,
                               backend=args.backend, time_limit=args.time_limit)
     state = result.state
+    os.makedirs(args.out, exist_ok=True)
 
     trace_path = os.path.join(args.out, "trace.csv")
     with open(trace_path, "w", newline="") as fh:
@@ -142,8 +140,6 @@ def cmd_solve(args):
 def cmd_compare(args):
     t0 = time.perf_counter()
     inst = load(args.instance)
-    os.makedirs(args.out, exist_ok=True)
-
     with stdout_to_stderr():
         t_alg = time.perf_counter()
         state = run_algorithm1(inst, epsilon=args.epsilon, backend=args.backend,
@@ -160,6 +156,7 @@ def cmd_compare(args):
            "bruteforce": {"status": bf_status,
                           "objective": bf.theta if bf is not None else None,
                           "wall_time": round(bf_wall, 3)}}
+    os.makedirs(args.out, exist_ok=True)
     code = EXIT_OK
     if bf_status == "NA":
         doc["relative_difference"] = None
@@ -188,9 +185,7 @@ def cmd_sweep(args):
         raw = json.load(fh)
     gen = GenConfig(**{k: (tuple(v) if isinstance(v, list) else v)
                        for k, v in raw.get("gen", {}).items()})
-    spec = SweepSpec(schemes=[Scheme(kind=s) if isinstance(s, str) else Scheme(**s)
-                              for s in raw["schemes"]],
-                     axis=raw["axis"], values=raw["values"],
+    spec = SweepSpec(schemes=raw["schemes"], axis=raw["axis"], values=raw["values"],
                      replicates=raw.get("replicates", 1),
                      base_seed=raw.get("base_seed", 0),
                      epsilon=raw.get("epsilon", 1e-4),
@@ -258,11 +253,9 @@ def build_parser():
 
     s = sub.add_parser("solve", help="solve one pricing scheme on an instance")
     s.add_argument("instance")
-    s.add_argument("--scheme", choices=("dyn", "flat", "avg", "nostorage", "noplacement"),
-                   default="dyn")
+    s.add_argument("--scheme", choices=SCHEME_KINDS, default="dyn")
     s.add_argument("--epsilon", type=float, default=1e-4)
     s.add_argument("--time-limit", type=float, default=None)
-    s.add_argument("--node-limit", type=int, default=None)
     s.add_argument("--backend", choices=BACKENDS, default="highs")
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_solve)

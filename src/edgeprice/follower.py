@@ -605,12 +605,7 @@ def build_kkt_follower(instance, k, leader, variant=DEFAULT_VARIANT):
             (only_idx, coef), = dual_expr.coeffs.items()
             if coef == 1.0 and m.variables[only_idx].kind != BINARY:
                 watch = [only_idx]
-        if family not in registry.entries:
-            M = registry.register(family, M, watch=watch)
-        else:
-            M = registry.get(family)
-            if watch:
-                registry.register(family, M, watch=watch)
+        M = registry.register(family, M, watch=watch)
         u = m.add_var(f"u[{family}:{label}]", BINARY)
         m.add_constraint(slack_expr, ">=", 0.0, name=f"{family}:{label}:p0", family=family)
         lhs = Expr().add_expr(slack_expr).add(u, -M)

@@ -78,15 +78,13 @@ class BasisRecord(NamedTuple):
 
 
 class LpSolution:
-    __slots__ = ("status", "x", "obj", "duals", "reduced_costs", "iterations", "basis")
+    __slots__ = ("status", "x", "obj", "duals", "iterations", "basis")
 
-    def __init__(self, status, x=None, obj=None, duals=None, reduced_costs=None, iterations=0,
-                 basis=None):
+    def __init__(self, status, x=None, obj=None, duals=None, iterations=0, basis=None):
         self.status = status
         self.x = x
         self.obj = obj
         self.duals = duals
-        self.reduced_costs = reduced_costs
         self.iterations = iterations
         self.basis = basis  # a BasisRecord at an optimum
 
@@ -426,12 +424,12 @@ class BoundedSimplex:
         if st != OPTIMAL:
             return None
         return self._finish(c)
+
     def _finish(self, c):
         """Phase 2 from a feasible basis, then verification; the result."""
         n = self.n
         cs = self.col_scale
-        c_s = c * cs
-        c2 = np.concatenate([c_s, np.zeros(self.m)])
+        c2 = np.concatenate([c * cs, np.zeros(self.m)])
         for cleanup_round in range(3):
             st = self._optimize(c2)
             if st == ITER_LIMIT:
@@ -456,10 +454,9 @@ class BoundedSimplex:
         obj = float(c @ xs)
         y_scaled = self._fact.btran(c2[self._basis])
         duals = y_scaled * self.row_scale
-        rc = (c_s - self._A.priced(y_scaled)) / cs
         basis = BasisRecord(self._basis.copy(), self._status.copy())
-        return LpSolution(OPTIMAL, x=xs, obj=obj, duals=duals, reduced_costs=rc,
-                          iterations=self._iters, basis=basis)
+        return LpSolution(OPTIMAL, x=xs, obj=obj, duals=duals, iterations=self._iters,
+                          basis=basis)
 
     def _infeasibility(self):
         """Max violation of rows and bounds at the current scaled point."""
@@ -643,5 +640,4 @@ class BoundedSimplex:
         x = np.where(c > 0, lb, np.where(c < 0, ub, start))
         if not np.isfinite(x).all():
             return LpSolution(UNBOUNDED)
-        return LpSolution(OPTIMAL, x=x, obj=float(c @ x), duals=np.zeros(0),
-                          reduced_costs=c.copy(), iterations=0)
+        return LpSolution(OPTIMAL, x=x, obj=float(c @ x), duals=np.zeros(0))

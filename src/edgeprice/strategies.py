@@ -1,12 +1,13 @@
 """Pricing schemes, sensitivity sweeps, and the model-size audit.
 
-Schemes:
+A scheme is one of the names in ``SCHEME_KINDS``:
 
 * ``dyn``          -- full bilevel optimization (prices free per node);
-* ``flat``         -- one price across all nodes (compute, and by default
-                      storage too), still bilevel-optimal;
-* ``avg``          -- prices pinned to the mid-grid values, activation and
-                      followers still optimized;
+* ``flat``         -- one compute price and one storage price across all
+                      nodes, still bilevel-optimal;
+* ``avg``          -- each node's prices pinned to the middle level of its
+                      grids (the lower middle level of an even grid),
+                      activation and followers still optimized;
 * ``nostorage``    -- storage prices identically zero (services stop paying
                       rent, the platform stops earning it);
 * ``noplacement``  -- services pay neither installation nor storage, the
@@ -14,11 +15,14 @@ Schemes:
 
 ``avg`` and ``nostorage`` pin prices the same way: Algorithm 1 runs on a
 copy of the instance whose grids hold the single pinned level per node
-(``avg`` both grids, at the levels of the original grids, so its leader
-is also one of the original instance; ``nostorage`` the storage grid, at
-0).  The first three have nested feasible sets, so their optimal profits
-are ordered dyn >= flat >= avg on every instance; the test suite asserts
-this exactly.  Sweeps emit flat CSV-ready rows, one per
+(``avg`` both grids, at levels of the original grids, so its leader is
+also one of the original instance; ``nostorage`` the storage grid, at 0).
+``flat`` ties the nodes' level indices, and ``Instance.validate`` gives
+every node grids of the same width, so ``avg`` picks the same index at
+every node and each of its leaders is also a ``flat`` leader.  The
+feasible sets are nested by construction, so the optimal profits are
+ordered dyn >= flat >= avg on every valid instance; the test suite
+asserts this exactly.  Sweeps emit flat CSV-ready rows, one per
 (scheme, axis value, replicate).
 """
 
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from .bilevel import (Cut, block_keys, build_master, build_sp2, mp_size, run_algorithm1,
                       sp1_size, sp2_size)
 from .follower import LeaderDecision, ModelVariant, budget_cannot_bind, build_follower_milp
-from .instance import GenConfig, ScaleFactors, apply_scale, generate, grid_level
+from .instance import GenConfig, ScaleFactors, apply_scale, generate
 from .solve import BACKENDS
 
 SCHEME_KINDS = ("dyn", "flat", "avg", "nostorage", "noplacement")
@@ -39,17 +43,9 @@ class SchemeError(ValueError):
     pass
 
 
-@dataclass
-class Scheme:
-    kind: str
-    avg_price: float = 0.03      # mid value of the default compute grid
-    avg_sprice: float = 0.01     # mid value of the default storage grid
-    flat_storage: bool = True    # flat scheme also equalizes storage prices
-
-    def validate(self):
-        if self.kind not in SCHEME_KINDS:
-            raise SchemeError(f"unknown scheme {self.kind!r}; choose from {SCHEME_KINDS}")
-        return self
+def _check_scheme(scheme):
+    if scheme not in SCHEME_KINDS:
+        raise SchemeError(f"unknown scheme {scheme!r}; choose from {SCHEME_KINDS}")
 
 
 @dataclass
@@ -75,33 +71,27 @@ def _single_level(instance, p=None, ps=None):
     return pinned.validate()
 
 
+def _middle(grids):
+    """Each grid's middle level, the lower of the two middle levels of an
+    even grid."""
+    return [g[(len(g) - 1) // 2] for g in grids]
+
+
 def solve_scheme(instance, scheme, epsilon=1e-4, config=None, backend="reference",
                  time_limit=None, max_iterations=None):
-    """Solve one pricing scheme to bilevel optimality; returns SchemeResult."""
-    scheme = scheme if isinstance(scheme, Scheme) else Scheme(kind=str(scheme))
-    scheme.validate()
+    """Solve the scheme named ``scheme`` to bilevel optimality; returns SchemeResult."""
+    _check_scheme(scheme)
     inst = instance
     kwargs = dict(epsilon=epsilon, config=config, backend=backend,
                   time_limit=time_limit, max_iterations=max_iterations)
-    if scheme.kind == "dyn":
+    if scheme == "dyn":
         state = run_algorithm1(inst, **kwargs)
-    elif scheme.kind == "flat":
-        state = run_algorithm1(inst, flat=True, flat_storage=scheme.flat_storage, **kwargs)
-    elif scheme.kind == "avg":
-        p, ps = [], []
-        for j in range(inst.J):
-            v = grid_level(inst.p_grid[j], scheme.avg_price)
-            if v is None:
-                raise SchemeError(
-                    f"avg price {scheme.avg_price} is not on the compute grid of EN {j}")
-            h = grid_level(inst.ps_grid[j], scheme.avg_sprice)
-            if h is None:
-                raise SchemeError(
-                    f"avg storage price {scheme.avg_sprice} is not on the storage grid of EN {j}")
-            p.append(inst.p_grid[j][v])
-            ps.append(inst.ps_grid[j][h])
-        state = run_algorithm1(_single_level(inst, p=p, ps=ps), **kwargs)
-    elif scheme.kind == "nostorage":
+    elif scheme == "flat":
+        state = run_algorithm1(inst, flat=True, **kwargs)
+    elif scheme == "avg":
+        state = run_algorithm1(_single_level(inst, p=_middle(inst.p_grid),
+                                             ps=_middle(inst.ps_grid)), **kwargs)
+    elif scheme == "nostorage":
         state = run_algorithm1(_single_level(inst, ps=[0.0] * inst.J), **kwargs)
     else:  # noplacement
         state = run_algorithm1(inst, variant=ModelVariant(placement_in_follower=False),
@@ -112,7 +102,7 @@ def solve_scheme(instance, scheme, epsilon=1e-4, config=None, backend="reference
         rep = sol.to_json_dict()
         rep["service"] = k
         reports.append(rep)
-    return SchemeResult(scheme=scheme.kind, status=state.status, profit=state.LB,
+    return SchemeResult(scheme=scheme, status=state.status, profit=state.LB,
                         leader=state.incumbent_leader,
                         solutions=state.incumbent_solutions, state=state,
                         reports=reports)
@@ -150,7 +140,7 @@ class SweepSpec:
         if self.backend not in BACKENDS:
             raise SchemeError(f"unknown backend {self.backend!r}; choose from {BACKENDS}")
         for s in self.schemes:
-            (s if isinstance(s, Scheme) else Scheme(kind=str(s))).validate()
+            _check_scheme(s)
         return self
 
 
@@ -182,8 +172,7 @@ def run_sweep(spec, on_row=None):
         for rep in range(spec.replicates):
             inst, seed = _instance_for(spec, value, rep)
             for sch in spec.schemes:
-                sch = sch if isinstance(sch, Scheme) else Scheme(kind=str(sch))
-                row = {"scheme": sch.kind, "axis": spec.axis, "value": value,
+                row = {"scheme": sch, "axis": spec.axis, "value": value,
                        "replicate": rep, "seed": seed, "status": "", "profit": "",
                        "active_ens": "", "placements": "", "unmet_total": "",
                        "mean_avg_delay": "", "iterations": "", "wall_time": "",

@@ -20,7 +20,7 @@ from edgeprice.bilevel import run_algorithm1, solve_bruteforce, solve_hpp
 from edgeprice.follower import (LeaderDecision, assemble_solution,
                                 solve_fixed_t_lp, solve_kkt_follower, solve_sp1)
 from edgeprice.instance import GenConfig, generate
-from edgeprice.strategies import Scheme, audit_sizes, solve_scheme
+from edgeprice.strategies import audit_sizes, solve_scheme
 
 from conftest import make_manual_instance
 
@@ -103,7 +103,7 @@ def batch_schemes():
         inst = generate(GenConfig(I=6, J=4, K=3, graph_size=60, seed=seed))
         entry = {"seed": seed}
         for kind in ("dyn", "flat", "avg"):
-            entry[kind] = solve_scheme(inst, Scheme(kind), epsilon=EPSILON,
+            entry[kind] = solve_scheme(inst, kind, epsilon=EPSILON,
                                        backend=BACKEND)
         out.append(entry)
     return out

@@ -96,6 +96,15 @@ class TestSolve:
         assert res.returncode == 1 and "higs" in res.stderr
         assert not outdir.exists()
 
+    def test_failed_solve_creates_no_output_directory(self, tmp_path):
+        inst = tmp_path / "inst.json"
+        run_cli("generate", "--preset", "tiny", "--seed", "5", "-o", str(inst))
+        for command in ("solve", "compare"):
+            outdir = tmp_path / command
+            res = run_cli(command, str(inst), "--epsilon", "0", "--out", str(outdir))
+            assert res.returncode == 1 and "epsilon must be positive" in res.stderr
+            assert not outdir.exists()
+
 
 class TestCompare:
     def test_agreement_small(self, tmp_path):

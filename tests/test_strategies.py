@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from edgeprice import strategies
 from edgeprice.bilevel import verify_bilevel_solution
 from edgeprice.instance import GenConfig, generate
-from edgeprice.strategies import (Scheme, SchemeError, SweepSpec, audit_sizes,
-                                  run_sweep, solve_scheme)
+from edgeprice.strategies import SchemeError, SweepSpec, audit_sizes, run_sweep, solve_scheme
 
 from conftest import make_manual_instance
 
@@ -16,7 +16,7 @@ def small(seed, I=4, J=3, K=2):
 class TestSchemes:
     def test_avg_pins_prices(self):
         inst = small(1)
-        out = solve_scheme(inst, Scheme("avg"), epsilon=1e-6, backend="highs")
+        out = solve_scheme(inst, "avg", epsilon=1e-6, backend="highs")
         assert out.status in ("gap-closed", "duplicate-t")
         assert all(p == pytest.approx(0.03) for p in out.leader.p)
         assert all(p == pytest.approx(0.01) for p in out.leader.ps)
@@ -25,7 +25,7 @@ class TestSchemes:
         # seed 602 is the one instance of criterion 6 (seeds 600-609) whose
         # avg optimum is positive
         inst = generate(GenConfig(I=6, J=4, K=3, graph_size=60, seed=602))
-        out = solve_scheme(inst, Scheme("avg"), epsilon=1e-8, backend="highs")
+        out = solve_scheme(inst, "avg", epsilon=1e-8, backend="highs")
         assert out.status in ("gap-closed", "duplicate-t")
         assert out.profit == pytest.approx(1.116316757326, rel=1e-9)
         assert out.leader.z == [0, 0, 1, 0]
@@ -34,26 +34,29 @@ class TestSchemes:
         assert report["ok"]
         assert report["profit"] == pytest.approx(out.profit, rel=1e-9)
 
-    def test_avg_off_grid_rejected(self):
-        inst = make_manual_instance()  # grid [0.01, 0.03, 0.05] contains 0.03
-        bad = Scheme("avg", avg_price=0.025)
-        with pytest.raises(SchemeError, match="not on the compute grid"):
-            solve_scheme(inst, bad, backend="highs")
+    def test_avg_pins_each_nodes_middle_level(self):
+        # grids of equal width that differ by node: avg takes level 1 at
+        # both nodes, which flat can also select, so dyn >= flat >= avg
+        inst = make_manual_instance(p_grid=[[0.01, 0.03, 0.05], [0.02, 0.04, 0.06]])
+        out = {kind: solve_scheme(inst, kind, epsilon=1e-8, backend="highs")
+               for kind in ("dyn", "flat", "avg")}
+        assert all(o.status in ("gap-closed", "duplicate-t") for o in out.values())
+        assert out["avg"].leader.p == [0.03, 0.04]
+        assert out["avg"].leader.ps == [0.005, 0.005]
+        profits = {kind: o.profit for kind, o in out.items()}
+        tol = 1e-6 * (1 + abs(profits["dyn"]))
+        assert profits["dyn"] >= profits["flat"] - tol
+        assert profits["flat"] >= profits["avg"] - tol
 
-    def test_avg_price_within_the_grid_tolerance(self):
-        """A price 5e-7 off a level of 1000 is that level (1e-9 relative):
-        the avg scheme pins the grid's level, not the price it was given."""
+    def test_avg_pins_the_lower_middle_level_of_an_even_grid(self):
         inst = make_manual_instance(p_grid=[[500.0, 1000.0]] * 2)
-        near = solve_scheme(inst, Scheme("avg", avg_price=1000.0 + 5e-7, avg_sprice=0.005),
-                            backend="highs")
-        exact = solve_scheme(inst, Scheme("avg", avg_price=1000.0, avg_sprice=0.005),
-                             backend="highs")
-        assert near.leader.p == exact.leader.p == [1000.0, 1000.0]
-        assert near.profit == exact.profit
+        out = solve_scheme(inst, "avg", backend="highs")
+        assert out.leader.p == [500.0, 500.0]
+        assert out.leader.ps == [0.005, 0.005]
 
     def test_unknown_scheme(self):
-        with pytest.raises(SchemeError):
-            Scheme("dynamic").validate()
+        with pytest.raises(SchemeError, match="unknown scheme"):
+            solve_scheme(make_manual_instance(), "dynamic")
 
     @pytest.mark.parametrize("seed", [3, 5])
     def test_dominance_chain(self, seed):
@@ -61,7 +64,7 @@ class TestSchemes:
         inst = small(seed)
         profits = {}
         for kind in ("dyn", "flat", "avg"):
-            out = solve_scheme(inst, Scheme(kind), epsilon=1e-8, backend="highs")
+            out = solve_scheme(inst, kind, epsilon=1e-8, backend="highs")
             assert out.status in ("gap-closed", "duplicate-t")
             profits[kind] = out.profit
         tol = 1e-6 * (1 + abs(profits["dyn"]))
@@ -70,13 +73,13 @@ class TestSchemes:
 
     def test_flat_prices_equal_across_nodes(self):
         inst = small(3)
-        out = solve_scheme(inst, Scheme("flat"), epsilon=1e-6, backend="highs")
+        out = solve_scheme(inst, "flat", epsilon=1e-6, backend="highs")
         assert len(set(round(p, 9) for p in out.leader.p)) == 1
         assert len(set(round(p, 9) for p in out.leader.ps)) == 1
 
     def test_nostorage_zeroes_storage_prices(self):
         inst = small(4)
-        out = solve_scheme(inst, Scheme("nostorage"), epsilon=1e-6, backend="highs")
+        out = solve_scheme(inst, "nostorage", epsilon=1e-6, backend="highs")
         assert out.status in ("gap-closed", "duplicate-t")
         assert all(p == 0.0 for p in out.leader.ps)
 
@@ -90,15 +93,15 @@ class TestSchemes:
             C=[25.0, 25.0], S=[5000.0, 5000.0], f=[0.2, 0.2], c=[0.1, 0.1],
             d=[[3.0, 9.0], [9.0, 3.0]], w=[1e-3],
         )
-        base = solve_scheme(inst, Scheme("dyn"), epsilon=1e-8, backend="highs")
-        free = solve_scheme(inst, Scheme("noplacement"), epsilon=1e-8, backend="highs")
+        base = solve_scheme(inst, "dyn", epsilon=1e-8, backend="highs")
+        free = solve_scheme(inst, "noplacement", epsilon=1e-8, backend="highs")
         count = lambda sols: sum(sum(s.t) for s in sols)
         assert count(free.solutions) >= count(base.solutions)
 
 
 class TestSweep:
     def _spec(self, **kw):
-        base = dict(schemes=[Scheme("dyn")], axis="p0",
+        base = dict(schemes=["dyn"], axis="p0",
                     values=[0.02, 0.04], replicates=1, base_seed=9,
                     epsilon=1e-6, backend="highs",
                     gen=GenConfig(I=3, J=2, K=1, graph_size=25))
@@ -136,18 +139,26 @@ class TestSweep:
         series = [np.mean(means[v]) for v in sorted(means)]
         assert all(series[i + 1] >= series[i] - 1e-9 for i in range(len(series) - 1))
 
-    def test_failures_recorded_not_raised(self):
-        # 0.03 is off this instance family's compute grid, so avg must fail
-        # per-row while the dyn rows still complete
-        spec = self._spec(schemes=[Scheme("dyn"), Scheme("avg")],
-                          values=[0.02], replicates=1,
-                          gen=GenConfig(I=3, J=2, K=1, graph_size=25,
-                                        compute_grid=(0.02, 0.04)))
-        rows = run_sweep(spec)
+    def test_failures_recorded_not_raised(self, monkeypatch):
+        # avg fails per-row while the dyn rows still complete
+        def broken(*args, **kwargs):
+            raise SchemeError("no single-level copy")
+        monkeypatch.setattr(strategies, "_single_level", broken)
+        rows = run_sweep(self._spec(schemes=["dyn", "avg"], values=[0.02]))
         by_scheme = {r["scheme"]: r for r in rows}
         assert by_scheme["avg"]["status"] == "error"
-        assert "grid" in by_scheme["avg"]["error"]
+        assert by_scheme["avg"]["error"] == "no single-level copy"
         assert by_scheme["dyn"]["status"] in ("gap-closed", "duplicate-t")
+
+    def test_avg_on_a_compute_grid_other_than_the_default(self):
+        spec = self._spec(schemes=["dyn", "flat", "avg"], values=[0.02],
+                          gen=GenConfig(I=3, J=2, K=1, graph_size=25,
+                                        compute_grid=(0.02, 0.04, 0.06)))
+        rows = run_sweep(spec)
+        assert all(r["status"] in ("gap-closed", "duplicate-t") for r in rows), rows
+        by_scheme = {r["scheme"]: r for r in rows}
+        assert by_scheme["avg"]["prices"] == "0.04|0.04"
+        assert by_scheme["avg"]["storage_prices"] == "0.01|0.01"
 
     def test_spec_validation(self):
         with pytest.raises(SchemeError):
@@ -158,6 +169,8 @@ class TestSweep:
             self._spec(values=[]).validate()
         with pytest.raises(SchemeError, match="unknown backend"):
             self._spec(backend="higs").validate()
+        with pytest.raises(SchemeError, match="unknown scheme"):
+            self._spec(schemes=[{"kind": "dyn"}]).validate()
 
 
 class TestAuditSizes:
