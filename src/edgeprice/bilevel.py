@@ -642,8 +642,12 @@ def build_sp2(instance, leader, phis, variant=DEFAULT_VARIANT, service_blocks_on
 
 def solve_sp2(instance, leader, phis, variant=DEFAULT_VARIANT, config=None,
               backend="reference"):
-    """Returns (per-service FollowerSolution list, Theta_o)."""
+    """Returns (per-service FollowerSolution list, Theta_o).
+
+    HiGHS solves it with the follower profile (``SolverConfig.follower_profile``).
+    """
     model, handles = build_sp2(instance, leader, phis, variant)
+    config = replace(config or SolverConfig(), follower_profile=True)
     res = backend_solve_polished(backend, model, config)
     if res.status == "infeasible":
         raise Sp2Infeasible(
@@ -686,6 +690,8 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
     """
     if epsilon <= 0:
         raise BilevelError("epsilon must be positive")
+    if time_limit is not None and time_limit < 0:
+        raise BilevelError("time limit must be nonnegative")
     inst = instance
     J = inst.J
     cap = max_iterations if max_iterations is not None else 2 ** J + 1

@@ -472,8 +472,12 @@ def enumerate_placements(instance, k, leader, variant=DEFAULT_VARIANT,
 
 def solve_sp1(instance, k, leader, variant=DEFAULT_VARIANT,
               config=None, backend="reference"):
-    """Exact follower optimum; returns (FollowerSolution, phi)."""
+    """Exact follower optimum; returns (FollowerSolution, phi).
+
+    HiGHS solves it with the follower profile (``SolverConfig.follower_profile``).
+    """
     model, handles = build_follower_milp(instance, k, leader, variant)
+    config = replace(config or SolverConfig(), follower_profile=True)
     res = backend_solve_polished(backend, model, config)
     if res.status != STATUS_OPTIMAL:
         raise SolveError(f"SP1[{k}] ended with status {res.status} (must be feasible)")
@@ -706,13 +710,12 @@ def solve_kkt_follower(instance, k, leader, variant=DEFAULT_VARIANT,
     completion then does not depend on the engine that solved the KKT
     model.
 
-    HiGHS runs the KKT MILP with its root reduced-cost heuristic on
-    (``SolverConfig.root_reduced_cost``): without it these MILPs took
-    about 3x longer, while the masters, SP1 and SP2 are faster without it.
+    HiGHS runs the KKT MILP, as SP1 and SP2, with the follower profile
+    (``SolverConfig.follower_profile``; see ``edgeprice.solve``).
     """
     km = build_kkt_follower(instance, k, leader, variant)
     cfg = config or SolverConfig()
-    cfg = replace(cfg, int_tol=min(cfg.int_tol, 1e-8), root_reduced_cost=True)
+    cfg = replace(cfg, int_tol=min(cfg.int_tol, 1e-8), follower_profile=True)
     res = backend_solve(backend, km.model, cfg)
     if res.status != STATUS_OPTIMAL:
         raise SolveError(f"KKT follower model ended with status {res.status}")

@@ -1,4 +1,5 @@
-"""Bounded-variable revised primal simplex with an explicit basis inverse.
+"""Bounded-variable revised simplex with an explicit basis inverse:
+primal from the crash start, dual from a warm start.
 
 Two phases in one pivot loop.  Phase 1 is composite: each pass costs
 the basic variables outside their bounds, -1 below the lower bound and
@@ -35,9 +36,16 @@ in per-pivot mode.  All tie-breaking is deterministic.
 
 An optimum carries its basis (``LpSolution.basis``), and a later solve
 on the same engine may start from it after a change of bounds: the
-nonbasic variables go to their new bounds, the basic values are
-recomputed, and phase 1 restores feasibility before phase 2.  If it
-cannot, the solve falls back to the crash start.
+nonbasic variables go to their new bounds and the basic values are
+recomputed.  A change of bounds leaves the basis dual feasible, so a
+bounded dual simplex (Koberstein 2005, ch. 3) takes it back to
+primal feasibility: the basic variable with the largest bound
+violation leaves, its row of B⁻¹A comes from one btran, and a two-pass
+(Harris) ratio test on the reduced costs picks the entering column.
+Phase 2 then confirms the optimum and the verification runs as for any
+other start.  A start that is not dual feasible, or a dual that finds
+no entering column, falls back to the crash start, which is the only
+path that declares an LP infeasible.
 """
 
 from __future__ import annotations
@@ -314,9 +322,9 @@ class BoundedSimplex:
 
         ``start`` is the ``basis`` of an earlier optimum of this engine.
         The solve then begins there, with the nonbasic variables at their
-        bounds under the new lb/ub; if phase 1 cannot make that basis
-        feasible, the crash start below takes over.  Only the crash start
-        declares an LP infeasible.
+        bounds under the new lb/ub, and the dual simplex restores
+        feasibility; if it cannot, the crash start below takes over.  Only
+        the crash start declares an LP infeasible.
         """
         c = np.asarray(c, dtype=float)
         lb = np.asarray(lb, dtype=float)
@@ -414,22 +422,101 @@ class BoundedSimplex:
         return self._finish(c)
 
     def _warm(self, c, lb, ub, start):
-        """Start from a recorded basis; None if it cannot be made feasible."""
+        """Start from a recorded basis; None if the dual simplex cannot
+        take it to a feasible basis."""
         self._begin(lb, ub, start.status.copy())
         self._basis = start.basic.copy()
         self._refresh()
-        st = self._optimize()
-        if st == ITER_LIMIT:
-            return LpSolution(ITER_LIMIT, iterations=self._iters)
-        if st != OPTIMAL:
+        if self._dual(self._scaled_costs(c)) != OPTIMAL:
             return None
         return self._finish(c)
+
+    def _scaled_costs(self, c):
+        """The costs of the scaled structurals, then 0 for the slacks."""
+        return np.concatenate([c * self.col_scale, np.zeros(self.m)])
+
+    def _dual(self, c):
+        """Bounded dual simplex: from a dual feasible basis, pivot until
+        every basic variable is inside its bounds.
+
+        The leaving variable is the basic one with the largest bound
+        violation; it leaves at the bound it violates.  Its row of B⁻¹A
+        is one btran and one product with A.  The entering column comes
+        from a two-pass (Harris) ratio test on the reduced costs, which
+        are updated along that row and recomputed at every refresh.
+        Returns OPTIMAL once the basis is primal feasible, else INFEASIBLE
+        (the start is not dual feasible, or no column can enter) or
+        ITER_LIMIT; the caller then uses the crash start.
+        """
+        lo, hi, x, basis, status = self._lo, self._hi, self._x, self._basis, self._status
+        fact = self._fact
+        dual_tol = 1e-9 * (1.0 + np.abs(c).max(initial=0.0))
+        piv_tol = 1e-9
+        movable = lo < hi
+        d = self._reduced_costs(c, fact.btran(c[basis]))
+        if self._pricing(d, movable).min(initial=0.0) < -dual_tol:
+            return INFEASIBLE
+        e_p = np.zeros(self.m)
+        pivots_since_refactor = 0
+        while True:
+            xb = x[basis]
+            gap = np.maximum(lo[basis] - xb, xb - hi[basis])
+            p = int(gap.argmax())
+            if gap[p] <= 1e-9:
+                return OPTIMAL
+            if self._iters >= self._limit:
+                return ITER_LIMIT
+            self._iters += 1
+            below = xb[p] < lo[basis[p]]
+
+            e_p[p] = 1.0
+            rho = fact.btran(e_p)
+            e_p[p] = 0.0
+            # row p of B⁻¹A, signed so that a column at its lower bound
+            # may enter where it is negative, one at its upper where positive
+            row = np.concatenate([self._A.priced(rho), rho])
+            alpha = row if below else -row
+            # per column, how fast the dual step uses up its reduced cost
+            # (r), and how much of it there is (room; below 0 where it
+            # already lies outside its bound, within the tolerance)
+            sign = _PRICE_SIGN[status]
+            r = -sign * alpha
+            room = sign * d
+            free = status == NB_FREE
+            if free.any():
+                r[free] = np.abs(alpha[free])
+                room[free] = np.abs(d[free])
+            cand = np.flatnonzero(movable & (r > piv_tol))
+            if cand.size == 0:
+                return INFEASIBLE
+            # pass 1 caps the step so that no reduced cost passes its
+            # bound by more than the tolerance, pass 2 takes the largest
+            # pivot within the cap
+            r, room = r[cand], room[cand]
+            theta_max = max(float(((room + dual_tol) / r).min()), 0.0)
+            room = np.maximum(room, 0.0)
+            within = np.flatnonzero(room / r <= theta_max)
+            at = within[r[within].argmax()]
+            q, step = int(cand[at]), room[at] / r[at]
+
+            w = fact.ftran(self._column(q))
+            if abs(w[p] - row[q]) > 1e-7 * (1.0 + abs(row[q])):
+                raise _NumericalDistress("the pivot's row and column disagree")
+            move = (xb[p] - (lo if below else hi)[basis[p]]) / w[p]
+            d += step * alpha
+            self._pivot(q, p, 1.0 if move > 0 else -1.0, abs(move), w, not below)
+            d[basis] = 0.0
+            pivots_since_refactor += 1
+            if pivots_since_refactor >= self._refactor_every:
+                self._refresh()
+                d = self._reduced_costs(c, fact.btran(c[basis]))
+                pivots_since_refactor = 0
 
     def _finish(self, c):
         """Phase 2 from a feasible basis, then verification; the result."""
         n = self.n
         cs = self.col_scale
-        c2 = np.concatenate([c * cs, np.zeros(self.m)])
+        c2 = self._scaled_costs(c)
         for cleanup_round in range(3):
             st = self._optimize(c2)
             if st == ITER_LIMIT:

@@ -3,8 +3,9 @@
 Two engines live behind one result contract, each reached by name
 through ``get_backend``:
 
-* ``"reference"``, the built-in engine: a bounded-variable primal
-  simplex, which a model meets only through ``ModelLp``, plus a
+* ``"reference"``, the built-in engine: a bounded-variable simplex
+  (primal, dual on a warm start), which a model meets only through
+  ``ModelLp``, plus a
   deterministic best-first branch-and-bound on binaries over one
   ``ModelLp``, and
 * ``"highs"``, an adapter for scipy's HiGHS.
@@ -25,12 +26,20 @@ seed-113 full-enumeration master they spent 7,786 of 9,302 LP
 iterations).  Replaying the 17 masters of one oracle + base bench pass,
 HiGHS took 15.7 s with the defaults and 7.0 s without them, at objectives
 equal within 5e-13.  The third sub-MIP heuristic, root reduced cost, is
-off unless ``SolverConfig.root_reduced_cost`` is set, which only the
-follower KKT solve does.  Replaying the 18 HiGHS MILPs of one oracle +
-base pass (masters, SP1, SP2) took 4.70 s with it and 3.22 s without, at
-objectives equal to 10 significant digits; the 10 KKT MILPs of the
-follower deck took 0.52 s with it and 1.52 s without.  Incumbents do
-not depend on any heuristic, since every pattern is re-certified
+off on the masters: replaying the 18 HiGHS MILPs of one oracle + base
+pass (masters, SP1, SP2) took 4.70 s with it and 3.22 s without, at
+objectives equal to 10 significant digits, while the 10 KKT MILPs of the
+follower deck took 0.52 s with it and 1.52 s without.
+
+Follower-sized MILPs (SP1, SP2 and the KKT follower) set
+``SolverConfig.follower_profile``, which turns root reduced cost on and
+the feasibility jump heuristic off.  Replaying the captured HiGHS MILPs
+of one oracle + base + follower pass over 8 rounds, with feasibility
+jump and without: KKT 0.35 s and 0.24 s; SP1 0.16 s and 0.08 s (oracle),
+0.15 s and 0.08 s (base); SP2 0.08 s and 0.03 s (oracle), 0.09 s and
+0.05 s (base).  The masters took 0.63 s and 0.71 s (oracle), 1.18 s and
+1.41 s (base), 13–20 % slower without it, so they keep it.  Incumbents
+do not depend on any heuristic, since every pattern is re-certified
 (``solve_milp_certified``).
 
 Dual values are reported for LP solves only (a certified MILP result
@@ -74,8 +83,9 @@ class SolverConfig:
     mip_gap: float = 1e-8
     node_limit: int | None = None
     time_limit: float | None = None
-    # HiGHS's root reduced-cost heuristic (see module docstring)
-    root_reduced_cost: bool = False
+    # HiGHS's heuristics for a follower-sized MILP: root reduced cost on,
+    # feasibility jump off (see module docstring)
+    follower_profile: bool = False
 
     def validate(self):
         if self.int_tol <= 0 or self.mip_gap <= 0:
@@ -184,8 +194,10 @@ def solve_milp(model: MilpModel, config: SolverConfig | None = None) -> SolveRes
     down-branch (fix to 0) is explored first among equal bounds.  An
     integral leaf (binaries within ``int_tol``) becomes the incumbent with
     its binaries rounded and its LP value as the claim, uncertified: a
-    binary inside the tolerance can leak through a big-M row.  The engine
-    has no primal heuristics, so it ignores ``config.root_reduced_cost``.
+    binary inside the tolerance can leak through a big-M row.  Each child
+    starts from its parent's optimal basis, which its one fixed binary
+    leaves dual feasible (``BoundedSimplex.solve``).  The engine has no
+    primal heuristics, so it ignores ``config.follower_profile``.
     """
     config = (config or SolverConfig()).validate()
     lp = ModelLp(model)
@@ -202,13 +214,13 @@ def solve_milp(model: MilpModel, config: SolverConfig | None = None) -> SolveRes
     incumbent = None
     incumbent_internal = INF
 
-    def lp_at(fixes):
+    def lp_at(fixes, start=None):
         nonlocal nodes, total_iters
         lb = core.lb.copy()
         ub = core.ub.copy()
         for idx, val in fixes.items():
             lb[idx] = ub[idx] = float(val)
-        sol = lp.run(lb, ub)
+        sol = lp.run(lb, ub, start)
         nodes += 1
         total_iters += sol.iterations
         return sol
@@ -256,7 +268,7 @@ def solve_milp(model: MilpModel, config: SolverConfig | None = None) -> SolveRes
         for val in (0, 1):  # down-branch first
             child_fixes = dict(fixes)
             child_fixes[frac] = val
-            child = lp_at(child_fixes)
+            child = lp_at(child_fixes, sol.basis)
             if child.status != OPTIMAL:
                 continue
             if incumbent is not None and child.obj >= incumbent_internal - gap_cushion():
@@ -457,8 +469,11 @@ class ScipyHighsBackend:
                 lo[r] = core.b[r]
         integrality = np.zeros(core.n)
         integrality[core.binaries] = 1
+        # the follower profile (see module docstring)
+        profile = config.follower_profile
         options = {"mip_rel_gap": config.mip_gap, **HIGHS_MILP_OPTIONS,
-                   "mip_heuristic_run_root_reduced_cost": config.root_reduced_cost}
+                   "mip_heuristic_run_root_reduced_cost": profile,
+                   "mip_heuristic_run_feasibility_jump": not profile}
         if config.time_limit is not None:
             options["time_limit"] = config.time_limit
         if config.node_limit is not None:

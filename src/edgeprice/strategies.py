@@ -132,6 +132,10 @@ class SweepSpec:
             raise SchemeError("instances-per-point must be >= 1")
         if not self.values:
             raise SchemeError("axis values must be nonempty")
+        if self.epsilon <= 0:
+            raise SchemeError("epsilon must be positive")
+        if self.time_limit is not None and self.time_limit < 0:
+            raise SchemeError("time limit must be nonnegative")
         if self.axis in ("delta", "gamma0", "Lambda", "beta0", "p0"):
             if any(v < 0 for v in self.values):
                 raise SchemeError(f"axis {self.axis} values must be nonnegative")

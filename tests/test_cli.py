@@ -105,6 +105,27 @@ class TestSolve:
             assert res.returncode == 1 and "epsilon must be positive" in res.stderr
             assert not outdir.exists()
 
+    def test_negative_time_limit_creates_no_output_directory(self, tmp_path):
+        inst = tmp_path / "inst.json"
+        run_cli("generate", "--preset", "tiny", "--seed", "5", "-o", str(inst))
+        for command in ("solve", "compare"):
+            outdir = tmp_path / command
+            res = run_cli(command, str(inst), "--time-limit", "-5", "--out", str(outdir))
+            assert res.returncode == 1 and "time limit must be nonnegative" in res.stderr
+            assert not outdir.exists()
+
+    def test_bad_sweep_spec_creates_no_output_directory(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        outdir = tmp_path / "run"
+        for bad, message in (({"epsilon": 0}, "epsilon must be positive"),
+                             ({"epsilon": -1e-4}, "epsilon must be positive"),
+                             ({"time_limit": -5}, "time limit must be nonnegative")):
+            spec_path.write_text(json.dumps({"schemes": ["dyn"], "axis": "p0",
+                                             "values": [0.02], **bad}))
+            res = run_cli("sweep", str(spec_path), "--out", str(outdir))
+            assert res.returncode == 1 and message in res.stderr, bad
+            assert not outdir.exists()
+
 
 class TestCompare:
     def test_agreement_small(self, tmp_path):

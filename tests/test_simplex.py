@@ -20,15 +20,20 @@ from edgeprice.simplex import OPTIMAL, BoundedSimplex
 from edgeprice.solve import STATUS_OPTIMAL, _ModelCore, get_backend, polish_binaries
 
 
-@pytest.fixture(scope="module")
-def base_lp():
-    """Service 3 of base seed 0 at the lowest prices, every node active,
-    placed nowhere: a 146-row LP that takes over 100 pivots."""
+def base_case():
+    """Service 3 of base seed 0 at the lowest prices, every node active."""
     inst = generate(GenConfig(seed=0, I=12, J=8, K=4))
     leader = follower.LeaderDecision.from_prices(
         inst, p=[grid[0] for grid in inst.p_grid], ps=[grid[0] for grid in inst.ps_grid],
         z=[1] * inst.J)
-    model, h = follower.build_follower_milp(inst, 3, leader)
+    return inst, 3, leader
+
+
+@pytest.fixture(scope="module")
+def base_lp():
+    """The follower LP of ``base_case`` placed nowhere: a 146-row LP that
+    takes over 100 pivots."""
+    model, h = follower.build_follower_milp(*base_case())
     core = _ModelCore(model)
     lb, ub = core.lb.copy(), core.ub.copy()
     lb[h["t"]] = ub[h["t"]] = 0.0
@@ -126,7 +131,8 @@ def test_a_start_at_its_own_optimum_prices_once(base_lp):
                          ids=["none", "all", "alternate", "first3"])
 def test_a_start_after_a_bound_change_reaches_the_cold_optimum(base_lp, t, monkeypatch):
     """From the relaxation's optimum, fix the placement by its bounds:
-    the warm solve, with no crash start, ends at the cold optimum."""
+    the warm solve, with no crash start, ends at the cold optimum in
+    fewer iterations."""
     core, _, _, _ = base_lp
     eng = BoundedSimplex(core.A, core.b, core.senses)
     root = eng.solve(core.c, core.lb, core.ub)
@@ -141,29 +147,54 @@ def test_a_start_after_a_bound_change_reaches_the_cold_optimum(base_lp, t, monke
     warm = eng.solve(core.c, lb, ub, start=root.basis)
     assert warm.status == cold.status == OPTIMAL
     assert abs(warm.obj - cold.obj) <= 1e-9 * abs(cold.obj)
+    assert warm.iterations < cold.iterations
     assert_dual_certificate(SimpleNamespace(duals=warm.duals, objective=warm.obj),
                             core.A, core.b, core.senses, core.c, lb, ub, 1.0)
 
 
-def test_a_start_that_cannot_be_restored_falls_back_to_the_crash_start(base_lp, monkeypatch):
+def crash_starts(monkeypatch):
+    """Record each crash start that BoundedSimplex.solve makes."""
+    calls = []
+    real = BoundedSimplex._attempt
+    monkeypatch.setattr(BoundedSimplex, "_attempt",
+                        lambda self, *args: calls.append(True) or real(self, *args))
+    return calls
+
+
+def test_a_start_that_is_not_dual_feasible_falls_back_to_the_crash_start(base_lp, monkeypatch):
+    """A basis optimal for other costs (dropping demand made cheap) is
+    feasible but not optimal for the true costs, hence not dual feasible:
+    the solve ends as the crash start alone would, bit for bit."""
     core, lb, ub, _ = base_lp
     eng = BoundedSimplex(core.A, core.b, core.senses)
-    root = eng.solve(core.c, core.lb, core.ub)
+    other = core.c.copy()
+    other[other > 0] = 1e-6
+    wrong = eng.solve(other, lb, ub)
     cold = eng.solve(core.c, lb, ub)
-    real = BoundedSimplex._optimize
-    failed = []
-
-    def first_phase_one_fails(self, c=None):
-        if c is None and not failed:
-            failed.append(True)
-            return simplex.INFEASIBLE
-        return real(self, c)
-
-    monkeypatch.setattr(BoundedSimplex, "_optimize", first_phase_one_fails)
-    sol = eng.solve(core.c, lb, ub, start=root.basis)
-    assert failed
+    assert wrong.status == cold.status == OPTIMAL
+    assert core.c @ wrong.x > cold.obj + 1e-6 * abs(cold.obj)
+    calls = crash_starts(monkeypatch)
+    sol = eng.solve(core.c, lb, ub, start=wrong.basis)
+    assert calls == [True]
     assert sol.status == OPTIMAL and sol.obj == cold.obj
     assert np.array_equal(sol.x, cold.x) and np.array_equal(sol.duals, cold.duals)
+
+
+def test_an_infeasible_bound_change_is_declared_by_the_crash_start(base_lp, monkeypatch):
+    """With nothing placed, no cloud and no dropped demand, the flow rows
+    cannot hold: the dual simplex finds no entering column, and the
+    crash start declares the LP infeasible."""
+    core, _, _, _ = base_lp
+    model, h = follower.build_follower_milp(*base_case())
+    eng = BoundedSimplex(core.A, core.b, core.senses)
+    root = eng.solve(core.c, core.lb, core.ub)
+    lb, ub = core.lb.copy(), core.ub.copy()
+    lb[h["t"]] = ub[h["t"]] = 0.0
+    ub[h["q"] + h["x0"]] = 0.0
+    calls = crash_starts(monkeypatch)
+    sol = eng.solve(core.c, lb, ub, start=root.basis)
+    assert calls == [True]
+    assert sol.status == simplex.INFEASIBLE
 
 
 def dense_basis(A, basis):

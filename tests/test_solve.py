@@ -7,7 +7,8 @@ import scipy.optimize
 from scipy.optimize import OptimizeWarning
 
 from edgeprice import solve
-from edgeprice.follower import LeaderDecision, solve_kkt_follower
+from edgeprice.bilevel import solve_hpp, solve_sp2
+from edgeprice.follower import LeaderDecision, solve_kkt_follower, solve_sp1
 from edgeprice.instance import GenConfig, generate
 from edgeprice.model import MilpModel, ModelError
 from edgeprice.solve import (STATUS_GAP_LIMIT, STATUS_INFEASIBLE, STATUS_OPTIMAL,
@@ -355,35 +356,51 @@ def knapsack():
 
 
 class TestHighsOptions:
-    @pytest.mark.parametrize("root_reduced_cost", [False, True])
-    def test_options_reach_highs_without_warnings(self, root_reduced_cost):
+    @pytest.mark.parametrize("follower_profile", [False, True])
+    def test_options_reach_highs_without_warnings(self, follower_profile):
         with warnings.catch_warnings():
             # fails if HiGHS no longer knows an option name (OptimizeWarning)
             # or if milp's "passed verbatim" RuntimeWarning escapes the adapter
             warnings.simplefilter("error")
             res = get_backend("highs").solve_milp(
-                knapsack(), SolverConfig(root_reduced_cost=root_reduced_cost))
+                knapsack(), SolverConfig(follower_profile=follower_profile))
         assert res.status == STATUS_OPTIMAL and res.objective == pytest.approx(13.0)
 
-    def test_root_reduced_cost_only_for_kkt_follower(self, monkeypatch):
+    def test_follower_milps_get_the_follower_profile(self, monkeypatch):
+        """SP1, SP2 and the KKT follower run with root reduced cost on and
+        feasibility jump off; a master keeps feasibility jump and has RINS,
+        RENS and root reduced cost off."""
         seen = []
         real_milp = scipy.optimize.milp
 
         def spy(*args, options=None, **kwargs):
-            seen.append(options["mip_heuristic_run_root_reduced_cost"])
+            seen.append({name: options[f"mip_heuristic_run_{name}"]
+                         for name in ("rins", "rens", "root_reduced_cost", "feasibility_jump")})
             return real_milp(*args, options=options, **kwargs)
 
-        monkeypatch.setattr(scipy.optimize, "milp", spy)
-        get_backend("highs").solve_milp(knapsack(), SolverConfig())
-        backend_solve_polished("highs", knapsack())
-        assert seen and not any(seen)
+        def heuristics_of(solve_it):
+            seen.clear()
+            solve_it()
+            assert seen
+            return seen[0] if all(s == seen[0] for s in seen) else seen
 
-        seen.clear()
+        monkeypatch.setattr(scipy.optimize, "milp", spy)
         inst = generate(GenConfig(I=2, J=2, K=1, graph_size=20, seed=5))
         leader = LeaderDecision.from_prices(inst, p=[g[0] for g in inst.p_grid],
                                             ps=[g[0] for g in inst.ps_grid], z=[1] * inst.J)
-        solve_kkt_follower(inst, 0, leader, backend="highs")
-        assert seen and all(seen)
+        follower_runs = {
+            "sp1": lambda: solve_sp1(inst, 0, leader, backend="highs"),
+            "sp2": lambda: solve_sp2(inst, leader, [solve_sp1(inst, 0, leader)[1]],
+                                     backend="highs"),
+            "kkt": lambda: solve_kkt_follower(inst, 0, leader, backend="highs"),
+        }
+        for name, run in follower_runs.items():
+            assert heuristics_of(run) == {"rins": False, "rens": False, "root_reduced_cost": True,
+                                          "feasibility_jump": False}, name
+        master = {"rins": False, "rens": False, "root_reduced_cost": False,
+                  "feasibility_jump": True}
+        assert heuristics_of(lambda: solve_hpp(inst, backend="highs")) == master
+        assert heuristics_of(lambda: backend_solve_polished("highs", knapsack())) == master
 
     def test_unknown_option_name_is_loud(self, monkeypatch):
         monkeypatch.setitem(solve.HIGHS_MILP_OPTIONS, "mip_heuristic_run_rinz", False)
