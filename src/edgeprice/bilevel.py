@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .follower import (DEFAULT_VARIANT, LeaderDecision, ModelVariant, add_follower,
                        assemble_solution, budget_cannot_bind, derived_dual_bound,
@@ -110,6 +110,10 @@ class MasterSolution:
     status: str = STATUS_OPTIMAL
 
 
+# the columns of one AlgorithmState trace row, in trace.csv's order
+TRACE_COLUMNS = ("iteration", "UB", "LB", "gap", "wall_time", "master_nodes", "master_s")
+
+
 @dataclass
 class AlgorithmState:
     epsilon: float
@@ -132,10 +136,9 @@ class AlgorithmState:
     def record(self, wall, master_stats):
         """One trace row; the master's HiGHS or branch-and-bound node count
         and engine time come from its certified result's ``stats``."""
-        self.trace.append({"iteration": self.iteration, "UB": self.UB, "LB": self.LB,
-                           "gap": self.gap, "wall_time": wall,
-                           "master_nodes": master_stats.get("nodes"),
-                           "master_s": master_stats.get("wall_time")})
+        self.trace.append(dict(zip(TRACE_COLUMNS, (
+            self.iteration, self.UB, self.LB, self.gap, wall,
+            master_stats.get("nodes"), master_stats.get("wall_time")))))
 
 
 def relative_gap(ub, lb):
@@ -491,7 +494,7 @@ def linearization_audit(bundle, result):
                default=0.0)
 
 
-def repair_dual_blocks(instance, bundle, result, config=None):
+def repair_dual_blocks(instance, bundle, result):
     """Rewrite every duality block into canonical form.
 
     The dual-block variables carry no objective coefficient, so MILP
@@ -535,7 +538,7 @@ def repair_dual_blocks(instance, bundle, result, config=None):
         vals[blk["vars"]] = 0.0
         # a placement on a closed node has no LP to solve
         closed = sum(1 - leader.z[j] for j, bit in enumerate(t) if bit)
-        ft = None if closed else solve_fixed_t_lp(inst, k, leader, t, bundle.variant, config)
+        ft = None if closed else solve_fixed_t_lp(inst, k, leader, t, bundle.variant)
         if ft is not None and ft.status == STATUS_OPTIMAL:
             d = ft.dual
             if blk["mu1"] is not None:
@@ -576,18 +579,18 @@ def _set_products(vals, links):
         vals[U] = vals[a] * vals[b]
 
 
-def _solve_master(instance, bundle, config, backend):
-    res = backend_solve_polished(backend, bundle.model, config)
+def _solve_master(instance, bundle, backend, time_limit=None):
+    res = backend_solve_polished(backend, bundle.model, SolverConfig(time_limit=time_limit))
     if res.status != STATUS_OPTIMAL:
         return res
-    repair_dual_blocks(instance, bundle, res, config)
+    repair_dual_blocks(instance, bundle, res)
     return res
 
 
-def solve_hpp(instance, variant=DEFAULT_VARIANT, config=None, backend="reference"):
+def solve_hpp(instance, variant=DEFAULT_VARIANT, backend="reference"):
     """Feasibility relaxation: follower blocks present but not optimal."""
     bundle = build_master(instance, cuts=[], variant=variant)
-    res = _solve_master(instance, bundle, config, backend)
+    res = _solve_master(instance, bundle, backend)
     if res.status != STATUS_OPTIMAL:
         raise BilevelError(f"feasibility relaxation ended with status {res.status}; "
                            "it must be solvable for every valid instance")
@@ -640,15 +643,13 @@ def build_sp2(instance, leader, phis, variant=DEFAULT_VARIANT, service_blocks_on
     return m.finalize(), handles
 
 
-def solve_sp2(instance, leader, phis, variant=DEFAULT_VARIANT, config=None,
-              backend="reference"):
+def solve_sp2(instance, leader, phis, variant=DEFAULT_VARIANT, backend="reference"):
     """Returns (per-service FollowerSolution list, Theta_o).
 
     HiGHS solves it with the follower profile (``SolverConfig.follower_profile``).
     """
     model, handles = build_sp2(instance, leader, phis, variant)
-    config = replace(config or SolverConfig(), follower_profile=True)
-    res = backend_solve_polished(backend, model, config)
+    res = backend_solve_polished(backend, model, SolverConfig(follower_profile=True))
     if res.status == "infeasible":
         raise Sp2Infeasible(
             f"no platform-feasible selection of follower optima (phis: {phis})")
@@ -673,9 +674,8 @@ def platform_profit(instance, leader, solutions):
 # -- the iterative algorithm --------------------------------------------
 
 
-def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
-                   backend="reference", flat=False, max_iterations=None,
-                   time_limit=None):
+def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, backend="reference",
+                   flat=False, max_iterations=None, time_limit=None):
     """Master/subproblem iteration until the relative gap closes.
 
     Returns an AlgorithmState whose status is "gap-closed", "duplicate-t"
@@ -692,6 +692,8 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
         raise BilevelError("epsilon must be positive")
     if time_limit is not None and time_limit < 0:
         raise BilevelError("time limit must be nonnegative")
+    if max_iterations is not None and max_iterations < 0:
+        raise BilevelError("iteration limit must be nonnegative")
     inst = instance
     J = inst.J
     cap = max_iterations if max_iterations is not None else 2 ** J + 1
@@ -702,7 +704,7 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
 
     state.incumbent_leader = LeaderDecision(p=[grid[0] for grid in inst.p_grid],
                                             ps=[grid[0] for grid in inst.ps_grid], z=[0] * J)
-    state.incumbent_solutions = [solve_sp1(inst, k, state.incumbent_leader, variant, config,
+    state.incumbent_solutions = [solve_sp1(inst, k, state.incumbent_leader, variant,
                                            backend)[0] for k in range(inst.K)]
     state.LB = 0.0
 
@@ -712,7 +714,7 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
             break
         state.iteration += 1
         bundle = build_master(inst, state.cuts, variant=variant, flat=flat)
-        res = _solve_master(inst, bundle, config, backend)
+        res = _solve_master(inst, bundle, backend)
         if res.status != STATUS_OPTIMAL:
             raise BilevelError(f"master ended with status {res.status} at iteration "
                                f"{state.iteration}")
@@ -737,13 +739,13 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
         phis = []
         sp1_sols = []
         for k in range(inst.K):
-            sol_k, phi_k = solve_sp1(inst, k, leader, variant, config, backend)
+            sol_k, phi_k = solve_sp1(inst, k, leader, variant, backend)
             phis.append(phi_k)
             sp1_sols.append(sol_k)
 
         candidates = []
         try:
-            sp2_sols, theta_o = solve_sp2(inst, leader, phis, variant, config, backend)
+            sp2_sols, theta_o = solve_sp2(inst, leader, phis, variant, backend)
             candidates.append((theta_o, sp2_sols))
         except Sp2Infeasible:
             sp2_sols = None
@@ -789,8 +791,8 @@ def run_algorithm1(instance, epsilon=1e-4, variant=DEFAULT_VARIANT, config=None,
     return state
 
 
-def solve_bruteforce(instance, variant=DEFAULT_VARIANT, config=None,
-                     backend="reference", max_cuts=1024, time_limit=None):
+def solve_bruteforce(instance, variant=DEFAULT_VARIANT, backend="reference", max_cuts=1024,
+                     time_limit=None):
     """Full enumeration: the master with all 2^J placement vectors per service.
 
     This is the reference optimum.  Refuses (returns status "NA") when the
@@ -804,10 +806,7 @@ def solve_bruteforce(instance, variant=DEFAULT_VARIANT, config=None,
     cuts = [Cut(t_vectors=tuple(tuple(bits) for _ in range(K)))
             for bits in itertools.product((0, 1), repeat=J)]
     bundle = build_master(inst, cuts, variant=variant)
-    cfg = config or SolverConfig()
-    if time_limit is not None:
-        cfg = replace(cfg, time_limit=time_limit)
-    res = _solve_master(inst, bundle, cfg, backend)
+    res = _solve_master(inst, bundle, backend, time_limit)
     if res.status == "time-limit":
         return None, "NA"
     if res.status != STATUS_OPTIMAL:
@@ -819,7 +818,7 @@ def solve_bruteforce(instance, variant=DEFAULT_VARIANT, config=None,
 
 
 def verify_bilevel_solution(instance, leader, solutions, variant=DEFAULT_VARIANT,
-                            config=None, backend="reference"):
+                            backend="reference"):
     """Membership report for the bilevel feasible set.
 
     Checks platform feasibility, per-service feasibility, and per-service
@@ -850,7 +849,7 @@ def verify_bilevel_solution(instance, leader, solutions, variant=DEFAULT_VARIANT
         entry = {"service": k}
         entry["feasibility_violation"] = solutions[k].max_violation(inst, k, leader, variant)
         cost_k = follower_cost(inst, k, leader, solutions[k], variant)
-        _, phi_k = solve_sp1(inst, k, leader, variant, config, backend)
+        _, phi_k = solve_sp1(inst, k, leader, variant, backend)
         entry["cost"] = cost_k
         entry["phi"] = phi_k
         entry["optimality_gap"] = cost_k - phi_k

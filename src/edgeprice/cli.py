@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import __version__
-from .bilevel import run_algorithm1, solve_bruteforce
+from .bilevel import TRACE_COLUMNS, run_algorithm1, solve_bruteforce
 from .instance import GenConfig, generate, load, save
 from .solve import BACKENDS
 from .strategies import (SCHEME_KINDS, SWEEP_COLUMNS, SweepSpec, audit_sizes, run_sweep,
@@ -106,8 +106,7 @@ def cmd_solve(args):
 
     trace_path = os.path.join(args.out, "trace.csv")
     with open(trace_path, "w", newline="") as fh:
-        wr = csv.DictWriter(fh, fieldnames=("iteration", "UB", "LB", "gap", "wall_time",
-                                            "master_nodes", "master_s"))
+        wr = csv.DictWriter(fh, fieldnames=TRACE_COLUMNS)
         wr.writeheader()
         for row in state.trace:
             wr.writerow(row)

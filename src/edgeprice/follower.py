@@ -41,7 +41,7 @@ import itertools
 import math
 import pickle
 import threading
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -369,16 +369,16 @@ class _PlacementFamily:
     placement.  Other backends fix t through ``polish_binaries``.
     """
 
-    def __init__(self, instance, k, leader, variant, config, backend):
+    def __init__(self, instance, k, leader, variant, backend):
         self.model, self.h = build_follower_milp(instance, k, leader, variant)
-        self.config, self.backend = config, backend
+        self.backend = backend
         self.lp = self.root = None
 
     def solve(self, t):
         t_idx = self.h["t"]
         if self.backend != "reference":
             return polish_binaries(self.model, dict(zip(t_idx, t)),
-                                   get_backend(self.backend).solve_lp, self.config)
+                                   get_backend(self.backend).solve_lp)
         if self.lp is None:
             self.lp = ModelLp(self.model)
             _, self.root = self.lp.solve(self.lp.lb, self.lp.ub)
@@ -391,17 +391,16 @@ class _PlacementFamily:
 _last_family = threading.local()
 
 
-def _placement_family(instance, k, leader, variant, config, backend):
-    key = pickle.dumps((instance, k, leader, variant, config, backend))
+def _placement_family(instance, k, leader, variant, backend):
+    key = pickle.dumps((instance, k, leader, variant, backend))
     slot = getattr(_last_family, "slot", None)
     if slot is None or slot[0] != key:
-        slot = (key, _PlacementFamily(instance, k, leader, variant, config, backend))
+        slot = (key, _PlacementFamily(instance, k, leader, variant, backend))
         _last_family.slot = slot
     return slot[1]
 
 
-def solve_fixed_t_lp(instance, k, leader, t, variant=DEFAULT_VARIANT,
-                     config=None, backend="reference"):
+def solve_fixed_t_lp(instance, k, leader, t, variant=DEFAULT_VARIANT, backend="reference"):
     """The follower MILP with the placement fixed at t, solved as an LP with exact duals.
 
     The model, and on the built-in engine the root basis every placement
@@ -411,7 +410,7 @@ def solve_fixed_t_lp(instance, k, leader, t, variant=DEFAULT_VARIANT,
     a family, any changed argument builds a new one, and an answer does
     not depend on the calls made before it.
     """
-    family = _placement_family(instance, k, leader, variant, config, backend)
+    family = _placement_family(instance, k, leader, variant, backend)
     J = instance.J
     t = [int(v) for v in t]
     for j in range(J):
@@ -454,13 +453,12 @@ def solve_fixed_t_lp(instance, k, leader, t, variant=DEFAULT_VARIANT,
                                 solution=sol, dual=dual)
 
 
-def enumerate_placements(instance, k, leader, variant=DEFAULT_VARIANT,
-                         config=None, backend="reference"):
+def enumerate_placements(instance, k, leader, variant=DEFAULT_VARIANT, backend="reference"):
     """Exhaustive min over all 2^J placements of the fixed-t LP value."""
     J = instance.J
     best = None
     for bits in itertools.product((0, 1), repeat=J):
-        res = solve_fixed_t_lp(instance, k, leader, list(bits), variant, config, backend)
+        res = solve_fixed_t_lp(instance, k, leader, list(bits), variant, backend)
         if res.status != STATUS_OPTIMAL:
             continue
         if best is None or res.objective < best.objective - 1e-12:
@@ -470,15 +468,13 @@ def enumerate_placements(instance, k, leader, variant=DEFAULT_VARIANT,
     return best
 
 
-def solve_sp1(instance, k, leader, variant=DEFAULT_VARIANT,
-              config=None, backend="reference"):
+def solve_sp1(instance, k, leader, variant=DEFAULT_VARIANT, backend="reference"):
     """Exact follower optimum; returns (FollowerSolution, phi).
 
     HiGHS solves it with the follower profile (``SolverConfig.follower_profile``).
     """
     model, handles = build_follower_milp(instance, k, leader, variant)
-    config = replace(config or SolverConfig(), follower_profile=True)
-    res = backend_solve_polished(backend, model, config)
+    res = backend_solve_polished(backend, model, SolverConfig(follower_profile=True))
     if res.status != STATUS_OPTIMAL:
         raise SolveError(f"SP1[{k}] ended with status {res.status} (must be feasible)")
     sol = read_follower(instance, k, leader, handles, res.values)
@@ -695,8 +691,7 @@ def build_kkt_follower(instance, k, leader, variant=DEFAULT_VARIANT):
     return KktFollowerModel(model=m.finalize(), registry=registry, pairs=pairs, tags=tags)
 
 
-def solve_kkt_follower(instance, k, leader, variant=DEFAULT_VARIANT,
-                       config=None, backend="reference"):
+def solve_kkt_follower(instance, k, leader, variant=DEFAULT_VARIANT, backend="reference"):
     """Solve the KKT reformulation; returns (optimum, residual audit, result).
 
     The raw MILP solve fixes the placement; the switch binaries are then
@@ -711,12 +706,11 @@ def solve_kkt_follower(instance, k, leader, variant=DEFAULT_VARIANT,
     model.
 
     HiGHS runs the KKT MILP, as SP1 and SP2, with the follower profile
-    (``SolverConfig.follower_profile``; see ``edgeprice.solve``).
+    (``SolverConfig.follower_profile``; see ``edgeprice.solve``), and the
+    built-in engine at integrality tolerance 1e-8.
     """
     km = build_kkt_follower(instance, k, leader, variant)
-    cfg = config or SolverConfig()
-    cfg = replace(cfg, int_tol=min(cfg.int_tol, 1e-8), follower_profile=True)
-    res = backend_solve(backend, km.model, cfg)
+    res = backend_solve(backend, km.model, SolverConfig(int_tol=1e-8, follower_profile=True))
     if res.status != STATUS_OPTIMAL:
         raise SolveError(f"KKT follower model ended with status {res.status}")
     claimed = float(res.objective)
@@ -755,7 +749,7 @@ def solve_kkt_follower(instance, k, leader, variant=DEFAULT_VARIANT,
             d_val = dual_side.value(point)
             point[u_idx] = 1.0 if s_val > max(d_val, 1e-9 * (1.0 + abs(s_val))) else 0.0
 
-    cert = polish_binaries(km.model, point, get_backend(backend).solve_lp, cfg)
+    cert = polish_binaries(km.model, point, get_backend(backend).solve_lp)
     if cert.status != STATUS_OPTIMAL or not certificate_meets_claim(cert.objective, claimed,
                                                                     km.model.sense):
         raise SolveError(

@@ -10,9 +10,12 @@ through ``get_backend``:
   ``ModelLp``, and
 * ``"highs"``, an adapter for scipy's HiGHS.
 
-An adapter is an object with ``solve_lp`` and ``solve_milp`` that
-returns SolveResults with the same status vocabulary and tolerance
-semantics, so ``solve_milp_certified`` also takes a test's fake.
+An adapter is an object with ``solve_lp(model)`` and
+``solve_milp(model, config)`` that returns SolveResults with the same
+status vocabulary and tolerance semantics, so ``solve_milp_certified``
+also takes a test's fake.  An LP solve takes no settings; a MILP solve
+reads a ``SolverConfig``, which each caller builds where it calls the
+engine, and both engines stop at the relative gap ``MIP_GAP``.
 
 Both engines accept binaries within their integrality tolerance, so
 ``solve_milp``, ``backend_solve`` and the adapters return uncertified
@@ -77,21 +80,27 @@ class SolveError(RuntimeError):
     """Numerical failure or protocol violation during a solve."""
 
 
+# relative gap at which both engines stop a MILP solve
+MIP_GAP = 1e-8
+
+
 @dataclass
 class SolverConfig:
+    """The settings of one MILP solve.
+
+    ``int_tol`` is read only by the built-in branch and bound; the HiGHS
+    adapter never passes it, so the KKT follower's 1e-8 reaches only the
+    reference engine.
+    """
     int_tol: float = 1e-6
-    mip_gap: float = 1e-8
-    node_limit: int | None = None
     time_limit: float | None = None
     # HiGHS's heuristics for a follower-sized MILP: root reduced cost on,
     # feasibility jump off (see module docstring)
     follower_profile: bool = False
 
     def validate(self):
-        if self.int_tol <= 0 or self.mip_gap <= 0:
-            raise ModelError("solver tolerances must be positive")
-        if self.node_limit is not None and self.node_limit < 0:
-            raise ModelError("node limit must be nonnegative")
+        if self.int_tol <= 0:
+            raise ModelError("integrality tolerance must be positive")
         if self.time_limit is not None and self.time_limit < 0:
             raise ModelError("time limit must be nonnegative")
         return self
@@ -177,12 +186,9 @@ class ModelLp:
                            stats=stats), sol.basis
 
 
-def solve_lp(model: MilpModel, config: SolverConfig | None = None) -> SolveResult:
-    """Solve the model as an LP (binaries relaxed to [0,1]); duals included.
-
-    ``config`` completes the adapter signature: no setting in it applies
-    to an LP on the built-in engine.
-    """
+def solve_lp(model: MilpModel) -> SolveResult:
+    """Solve the model as an LP (binaries relaxed to [0,1]) on the built-in
+    engine; duals included."""
     lp = ModelLp(model)
     return lp.solve(lp.lb, lp.ub)[0]
 
@@ -239,16 +245,13 @@ def solve_milp(model: MilpModel, config: SolverConfig | None = None) -> SolveRes
 
     def gap_cushion():
         ref = abs(incumbent_internal) if incumbent is not None else 1.0
-        return config.mip_gap * max(1.0, ref)
+        return MIP_GAP * max(1.0, ref)
 
     status = STATUS_OPTIMAL
     best_open_bound = root.obj
     while heap:
         if deadline is not None and time.perf_counter() > deadline:
             status = STATUS_TIME_LIMIT
-            break
-        if config.node_limit is not None and nodes >= config.node_limit:
-            status = STATUS_GAP_LIMIT
             break
         bound, _, fixes, sol = heapq.heappop(heap)
         best_open_bound = bound
@@ -297,7 +300,7 @@ CERT_RTOL = 1e-9
 MAX_EXCLUSIONS = 64
 
 
-def polish_binaries(model, values, lp_solver, config=None):
+def polish_binaries(model, values, lp_solver):
     """Certify a binary pattern: re-solve the LP with every binary fixed.
 
     The pattern is ``values`` at the model's binaries, rounded.  Returns
@@ -314,7 +317,7 @@ def polish_binaries(model, values, lp_solver, config=None):
     fixed.constraints = model.constraints
     fixed.objective = model.objective
     fixed.objective_offset = model.objective_offset
-    lp = lp_solver(fixed.finalize(), config)
+    lp = lp_solver(fixed.finalize())
     if lp.status != STATUS_OPTIMAL:
         return lp
     values = lp.values.copy()
@@ -350,7 +353,7 @@ def solve_milp_certified(adapter, model, config=None):
     config = (config or SolverConfig()).validate()
     bins = model.binary_indices()
     if not bins:
-        return adapter.solve_lp(model, config)
+        return adapter.solve_lp(model)
     sense_mult = 1.0 if model.sense == "min" else -1.0
 
     work = model
@@ -365,7 +368,7 @@ def solve_milp_certified(adapter, model, config=None):
         if res.status not in (STATUS_OPTIMAL, STATUS_GAP_LIMIT, STATUS_TIME_LIMIT):
             return res
         if res.values is not None:
-            cert = polish_binaries(model, res.values, adapter.solve_lp, config)
+            cert = polish_binaries(model, res.values, adapter.solve_lp)
             if cert.status == STATUS_OPTIMAL and (
                     best is None or sense_mult * cert.objective < sense_mult * best.objective):
                 best = cert
@@ -401,8 +404,8 @@ def backend_solve_polished(name, model, config=None):
 class ReferenceBackend:
     """Adapter wrapping the built-in engine (identity adapter)."""
 
-    def solve_lp(self, model, config=None):
-        return solve_lp(model, config)
+    def solve_lp(self, model):
+        return solve_lp(model)
 
     def solve_milp(self, model, config=None):
         return solve_milp(model, config)
@@ -416,10 +419,9 @@ HIGHS_MILP_OPTIONS = {"mip_heuristic_run_rins": False, "mip_heuristic_run_rens":
 class ScipyHighsBackend:
     """Adapter for scipy.optimize (HiGHS): linprog for LPs, milp for MILPs."""
 
-    def solve_lp(self, model, config=None):
+    def solve_lp(self, model):
         from scipy.optimize import linprog
 
-        config = (config or SolverConfig()).validate()
         core = _ModelCore(model)
         A = core.A.tocsr()
         senses = np.array(core.senses)
@@ -471,13 +473,11 @@ class ScipyHighsBackend:
         integrality[core.binaries] = 1
         # the follower profile (see module docstring)
         profile = config.follower_profile
-        options = {"mip_rel_gap": config.mip_gap, **HIGHS_MILP_OPTIONS,
+        options = {"mip_rel_gap": MIP_GAP, **HIGHS_MILP_OPTIONS,
                    "mip_heuristic_run_root_reduced_cost": profile,
                    "mip_heuristic_run_feasibility_jump": not profile}
         if config.time_limit is not None:
             options["time_limit"] = config.time_limit
-        if config.node_limit is not None:
-            options["node_limit"] = config.node_limit
         t0 = time.perf_counter()
         with warnings.catch_warnings():
             # milp passes HIGHS_MILP_OPTIONS through verbatim and says so; an
@@ -509,7 +509,7 @@ class ScipyHighsBackend:
         if res.status == 4 and "unbounded" in message:
             # ambiguous "infeasible or unbounded": settle it via the relaxation,
             # mirroring the reference engine's root-relaxation semantics
-            relax = self.solve_lp(model, config)
+            relax = self.solve_lp(model)
             if relax.status in (STATUS_INFEASIBLE, STATUS_UNBOUNDED):
                 return SolveResult(relax.status, stats=stats)
         if res.status != 0 or res.x is None:
@@ -537,4 +537,4 @@ def backend_solve(name, model, config=None):
     adapter = get_backend(name)
     if model.binary_indices():
         return adapter.solve_milp(model, config)
-    return adapter.solve_lp(model, config)
+    return adapter.solve_lp(model)

@@ -77,13 +77,13 @@ def _middle(grids):
     return [g[(len(g) - 1) // 2] for g in grids]
 
 
-def solve_scheme(instance, scheme, epsilon=1e-4, config=None, backend="reference",
-                 time_limit=None, max_iterations=None):
+def solve_scheme(instance, scheme, epsilon=1e-4, backend="reference", time_limit=None,
+                 max_iterations=None):
     """Solve the scheme named ``scheme`` to bilevel optimality; returns SchemeResult."""
     _check_scheme(scheme)
     inst = instance
-    kwargs = dict(epsilon=epsilon, config=config, backend=backend,
-                  time_limit=time_limit, max_iterations=max_iterations)
+    kwargs = dict(epsilon=epsilon, backend=backend, time_limit=time_limit,
+                  max_iterations=max_iterations)
     if scheme == "dyn":
         state = run_algorithm1(inst, **kwargs)
     elif scheme == "flat":
@@ -128,8 +128,12 @@ class SweepSpec:
     def validate(self):
         if self.axis not in SWEEP_AXES:
             raise SchemeError(f"unknown sweep axis {self.axis!r}; choose from {SWEEP_AXES}")
+        for name in ("replicates", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SchemeError(f"{name} must be an integer, not {value!r}")
         if self.replicates < 1:
-            raise SchemeError("instances-per-point must be >= 1")
+            raise SchemeError("replicates must be >= 1")
         if not self.values:
             raise SchemeError("axis values must be nonempty")
         if self.epsilon <= 0:
@@ -168,7 +172,7 @@ def _instance_for(spec, value, replicate):
     return inst, seed
 
 
-def run_sweep(spec, on_row=None):
+def run_sweep(spec):
     """One row per (scheme, axis value, replicate); failures recorded, not raised."""
     spec.validate()
     rows = []
@@ -176,11 +180,8 @@ def run_sweep(spec, on_row=None):
         for rep in range(spec.replicates):
             inst, seed = _instance_for(spec, value, rep)
             for sch in spec.schemes:
-                row = {"scheme": sch, "axis": spec.axis, "value": value,
-                       "replicate": rep, "seed": seed, "status": "", "profit": "",
-                       "active_ens": "", "placements": "", "unmet_total": "",
-                       "mean_avg_delay": "", "iterations": "", "wall_time": "",
-                       "prices": "", "storage_prices": "", "error": ""}
+                row = dict.fromkeys(SWEEP_COLUMNS, "")
+                row.update(scheme=sch, axis=spec.axis, value=value, replicate=rep, seed=seed)
                 try:
                     outcome = solve_scheme(inst, sch, epsilon=spec.epsilon,
                                            backend=spec.backend,
@@ -200,15 +201,13 @@ def run_sweep(spec, on_row=None):
                     row["status"] = "error"
                     row["error"] = str(exc)
                 rows.append(row)
-                if on_row is not None:
-                    on_row(row)
     return rows
 
 
 # -- closed-form size audit ----------------------------------------------
 
 
-def audit_sizes(I, J, K, V, H, L, instance=None):
+def audit_sizes(I, J, K, V, H, L):
     """Build MP/SP1/SP2 symbolically and compare counts to the closed forms.
 
     Zero tolerance: every count must match exactly.  The report names the
@@ -217,13 +216,10 @@ def audit_sizes(I, J, K, V, H, L, instance=None):
     """
     if min(I, J, K, V, H) <= 0 or L < 0:
         raise SchemeError("audit dimensions must be positive (L >= 0)")
-    inst = instance
-    if inst is None:
-        grid_v = [round(0.01 * (v + 1), 6) for v in range(V)]
-        grid_h = [round(0.005 * (h + 1), 6) for h in range(H)]
-        gen = GenConfig(I=I, J=J, K=K, graph_size=max(100, I + J),
-                        compute_grid=tuple(grid_v), storage_grid=tuple(grid_h), seed=0)
-        inst = generate(gen)
+    grid_v = [round(0.01 * (v + 1), 6) for v in range(V)]
+    grid_h = [round(0.005 * (h + 1), 6) for h in range(H)]
+    inst = generate(GenConfig(I=I, J=J, K=K, graph_size=max(100, I + J),
+                              compute_grid=tuple(grid_v), storage_grid=tuple(grid_h), seed=0))
     cuts = [Cut(t_vectors=tuple(tuple((l + j) % 2 for j in range(J)) for _ in range(K)))
             for l in range(L)]
     blocks = [(sum(t), not budget_cannot_bind(inst, k)) for k, t in block_keys(cuts)]

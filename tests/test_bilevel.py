@@ -485,8 +485,9 @@ class TestAlgorithmBruteForceAgreement:
         assert bf.theta == pytest.approx(0.0, abs=1e-9)
 
     def test_epsilon_validation(self):
-        with pytest.raises(BilevelError):
-            run_algorithm1(tiny_gen(1), epsilon=0.0)
+        for bad in ({"epsilon": 0.0}, {"max_iterations": -3}):
+            with pytest.raises(BilevelError):
+                run_algorithm1(tiny_gen(1), **bad)
 
     def test_time_limit_status(self):
         inst = tiny_gen(7)

@@ -119,7 +119,10 @@ class TestSolve:
         outdir = tmp_path / "run"
         for bad, message in (({"epsilon": 0}, "epsilon must be positive"),
                              ({"epsilon": -1e-4}, "epsilon must be positive"),
-                             ({"time_limit": -5}, "time limit must be nonnegative")):
+                             ({"time_limit": -5}, "time limit must be nonnegative"),
+                             ({"replicates": 1.5}, "replicates must be an integer"),
+                             ({"replicates": True}, "replicates must be an integer"),
+                             ({"base_seed": 0.5}, "base_seed must be an integer")):
             spec_path.write_text(json.dumps({"schemes": ["dyn"], "axis": "p0",
                                              "values": [0.02], **bad}))
             res = run_cli("sweep", str(spec_path), "--out", str(outdir))

@@ -7,7 +7,7 @@ import scipy.optimize
 from scipy.optimize import OptimizeWarning
 
 from edgeprice import solve
-from edgeprice.bilevel import solve_hpp, solve_sp2
+from edgeprice.bilevel import run_algorithm1, solve_bruteforce, solve_hpp, solve_sp2
 from edgeprice.follower import LeaderDecision, solve_kkt_follower, solve_sp1
 from edgeprice.instance import GenConfig, generate
 from edgeprice.model import MilpModel, ModelError
@@ -203,22 +203,6 @@ class TestSolveMilp:
         assert r1.objective == r2.objective
         assert np.array_equal(r1.values, r2.values)
 
-    def test_node_limit_reports_gap_limit(self):
-        rng = np.random.default_rng(31)
-        mdl = MilpModel("lim", "max")
-        bs = [mdl.add_var(f"b{i}", "binary") for i in range(12)]
-        wts = rng.uniform(1, 5, 12)
-        vals = rng.uniform(1, 5, 12)
-        mdl.add_constraint({b: wts[i] for i, b in enumerate(bs)}, "<=", wts.sum() / 3)
-        mdl.set_objective({b: vals[i] for i, b in enumerate(bs)})
-        mdl.finalize()
-        res = solve_milp(mdl, SolverConfig(node_limit=3))
-        assert res.status in (STATUS_GAP_LIMIT, STATUS_OPTIMAL)
-        full = solve_milp(mdl)
-        assert full.status == STATUS_OPTIMAL
-        if res.status == STATUS_GAP_LIMIT and res.objective is not None:
-            assert res.objective <= full.objective + 1e-9
-
 
 class TestBackends:
     def test_reference_identity(self):
@@ -248,25 +232,6 @@ class TestBackends:
         m = MilpModel("t").finalize()
         with pytest.raises(ModelError, match="unknown backend"):
             backend_solve("no-such-engine", m)
-
-    @pytest.mark.parametrize("sense", ["<=", "=="])
-    def test_node_limit_is_not_a_time_limit(self, sense):
-        """A node-limit stop reads gap-limit on both engines, also when a
-        time limit is set but not reached, and also without a point (the
-        equality knapsack, where neither engine finds one at the root)."""
-        rng = np.random.default_rng(7)
-        mdl = MilpModel("k40", "max")
-        bs = [mdl.add_var(f"b{i}", "binary") for i in range(40)]
-        wts = rng.uniform(10, 60, 40)
-        mdl.add_constraint({b: wts[i] for i, b in enumerate(bs)}, sense, wts.sum() / 2 + 0.3)
-        mdl.set_objective({b: wts[i] + rng.uniform(0, 5) for i, b in enumerate(bs)})
-        mdl.finalize()
-        config = SolverConfig(node_limit=1, time_limit=100.0)
-        for name in ("reference", "highs"):
-            res = get_backend(name).solve_milp(mdl, config)
-            assert res.status == STATUS_GAP_LIMIT, name
-            if sense == "==":
-                assert res.values is None, name
 
     def test_polished_solutions_are_exactly_integral(self):
         for m, expected in ((pattern_model(), 100.5), (leak_model(), 0.0)):
@@ -312,8 +277,8 @@ class ScriptedAdapter:
         self.answers = list(answers)
         self.milp_calls = 0
 
-    def solve_lp(self, model, config=None):
-        return solve_lp(model, config)
+    def solve_lp(self, model):
+        return solve_lp(model)
 
     def solve_milp(self, model, config=None):
         self.milp_calls += 1
@@ -355,6 +320,27 @@ def knapsack():
     return m.finalize()
 
 
+@pytest.fixture
+def milp_options(monkeypatch):
+    """The options of every scipy milp call the test makes, in call order."""
+    seen = []
+    real_milp = scipy.optimize.milp
+
+    def spy(*args, options=None, **kwargs):
+        seen.append(options)
+        return real_milp(*args, options=options, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    return seen
+
+
+def follower_case():
+    inst = generate(GenConfig(I=2, J=2, K=1, graph_size=20, seed=5))
+    leader = LeaderDecision.from_prices(inst, p=[g[0] for g in inst.p_grid],
+                                        ps=[g[0] for g in inst.ps_grid], z=[1] * inst.J)
+    return inst, leader
+
+
 class TestHighsOptions:
     @pytest.mark.parametrize("follower_profile", [False, True])
     def test_options_reach_highs_without_warnings(self, follower_profile):
@@ -366,28 +352,20 @@ class TestHighsOptions:
                 knapsack(), SolverConfig(follower_profile=follower_profile))
         assert res.status == STATUS_OPTIMAL and res.objective == pytest.approx(13.0)
 
-    def test_follower_milps_get_the_follower_profile(self, monkeypatch):
+    def test_follower_milps_get_the_follower_profile(self, milp_options):
         """SP1, SP2 and the KKT follower run with root reduced cost on and
         feasibility jump off; a master keeps feasibility jump and has RINS,
         RENS and root reduced cost off."""
-        seen = []
-        real_milp = scipy.optimize.milp
-
-        def spy(*args, options=None, **kwargs):
-            seen.append({name: options[f"mip_heuristic_run_{name}"]
-                         for name in ("rins", "rens", "root_reduced_cost", "feasibility_jump")})
-            return real_milp(*args, options=options, **kwargs)
-
         def heuristics_of(solve_it):
-            seen.clear()
+            milp_options.clear()
             solve_it()
+            seen = [{name: options[f"mip_heuristic_run_{name}"]
+                     for name in ("rins", "rens", "root_reduced_cost", "feasibility_jump")}
+                    for options in milp_options]
             assert seen
             return seen[0] if all(s == seen[0] for s in seen) else seen
 
-        monkeypatch.setattr(scipy.optimize, "milp", spy)
-        inst = generate(GenConfig(I=2, J=2, K=1, graph_size=20, seed=5))
-        leader = LeaderDecision.from_prices(inst, p=[g[0] for g in inst.p_grid],
-                                            ps=[g[0] for g in inst.ps_grid], z=[1] * inst.J)
+        inst, leader = follower_case()
         follower_runs = {
             "sp1": lambda: solve_sp1(inst, 0, leader, backend="highs"),
             "sp2": lambda: solve_sp2(inst, leader, [solve_sp1(inst, 0, leader)[1]],
@@ -401,6 +379,17 @@ class TestHighsOptions:
                   "feasibility_jump": True}
         assert heuristics_of(lambda: solve_hpp(inst, backend="highs")) == master
         assert heuristics_of(lambda: backend_solve_polished("highs", knapsack())) == master
+
+    def test_only_the_enumeration_master_gets_a_time_limit(self, milp_options):
+        """solve_bruteforce's time limit reaches HiGHS; the masters of
+        run_algorithm1 (feasibility jump on) run without one."""
+        inst, _ = follower_case()
+        solve_bruteforce(inst, backend="highs", time_limit=50.0)
+        assert milp_options and all(o["time_limit"] == 50.0 for o in milp_options)
+        milp_options.clear()
+        run_algorithm1(inst, epsilon=1e-8, backend="highs")
+        masters = [o for o in milp_options if o["mip_heuristic_run_feasibility_jump"]]
+        assert masters and all("time_limit" not in o for o in masters)
 
     def test_unknown_option_name_is_loud(self, monkeypatch):
         monkeypatch.setitem(solve.HIGHS_MILP_OPTIONS, "mip_heuristic_run_rinz", False)
@@ -421,12 +410,12 @@ class TestPolish:
         m.finalize()
         before = m.dump_lp()
 
-        def lp_solver(model, config):
+        def lp_solver(model):
             # the LP sees the binaries fixed, the caller's model never does
             assert [(m.variables[b].lb, m.variables[b].ub) for b in bs] == [(0.0, 1.0)] * 3
             assert [(model.variables[b].lb, model.variables[b].ub) for b in bs] == \
                 [(1.0, 1.0), (0.0, 0.0), (1.0, 1.0)]
-            return solve_lp(model, config)
+            return solve_lp(model)
 
         res = polish_binaries(m, np.array([1.0 - 1e-7, 1e-7, 1.0, 15.0]), lp_solver)
         assert res.objective == pytest.approx(15.0)
@@ -454,5 +443,3 @@ class TestConfigValidation:
     def test_bad_tolerances(self):
         with pytest.raises(ModelError):
             SolverConfig(int_tol=0.0).validate()
-        with pytest.raises(ModelError):
-            SolverConfig(node_limit=-1).validate()
